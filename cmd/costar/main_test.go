@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -255,5 +257,31 @@ func TestFormatJSON(t *testing.T) {
 	d := out.Diagnostics[0]
 	if d.Pos.Token < 0 || !strings.HasPrefix(string(d.Code), "repair-") {
 		t.Errorf("diagnostic = %+v", d)
+	}
+}
+
+// TestCompileDeterministic: two `costar compile -lang python` runs (default
+// warm corpus) write byte-identical artifacts — the DFA snapshot's node
+// table and states come out in content order, independent of the order the
+// warm-up interned them in or of map iteration order.
+func TestCompileDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warms two Python artifacts")
+	}
+	dir := t.TempDir()
+	var outs [2][]byte
+	for i := range outs {
+		path := filepath.Join(dir, fmt.Sprintf("python%d.csar", i))
+		if err := compile("python", "", "", path, 8, 4000, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = data
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("two compiles differ: %d and %d bytes", len(outs[0]), len(outs[1]))
 	}
 }

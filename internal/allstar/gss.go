@@ -9,6 +9,8 @@ package allstar
 // pos(prod, dot) — the continuation to resume when this frame is popped —
 // and parent is the node below.
 
+import "costar/internal/keyset"
+
 const (
 	gssEmpty int32 = 0 // empty stack (SLL: overapproximated context)
 )
@@ -54,5 +56,8 @@ type config struct {
 	alt   int32
 	stack int32
 }
+
+// Hash implements keyset.Key for closure dedup.
+func (c config) Hash() uint64 { return keyset.Mix(uint64(uint32(c.alt))<<32 | uint64(uint32(c.stack))) }
 
 const haltedStack int32 = -1

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"costar/internal/grammar"
+	"costar/internal/keyset"
 )
 
 // predictor owns the GSS and the persistent DFA cache. One predictor
@@ -15,6 +16,8 @@ type predictor struct {
 
 	starts map[grammar.NTID]*pdfaState // per decision nonterminal
 	states map[string]*pdfaState
+
+	seen keyset.Set[config] // closure dedup, reused across calls
 }
 
 type pdfaState struct {
@@ -141,8 +144,8 @@ type pclosure struct {
 // halted), with GSS merging providing deduplication for free.
 func (p *predictor) closure(m pmode, work []config) pclosure {
 	var out pclosure
-	seen := make(map[config]bool, len(work)*2)
-	stable := make(map[config]bool)
+	seen := &p.seen
+	seen.Reset()
 	budget := p.budget
 	ig, g := p.ig, p.gss
 	for len(work) > 0 {
@@ -152,15 +155,11 @@ func (p *predictor) closure(m pmode, work []config) pclosure {
 		}
 		c := work[len(work)-1]
 		work = work[:len(work)-1]
-		if seen[c] {
+		if !seen.Add(c) {
 			continue
 		}
-		seen[c] = true
 		if c.stack == haltedStack {
-			if !stable[c] {
-				stable[c] = true
-				out.stable = append(out.stable, c)
-			}
+			out.stable = append(out.stable, c)
 			continue
 		}
 		f := g.frame(c.stack)
@@ -187,10 +186,7 @@ func (p *predictor) closure(m pmode, work []config) pclosure {
 		}
 		sym := rhs[dot]
 		if sym.IsT() {
-			if !stable[c] {
-				stable[c] = true
-				out.stable = append(out.stable, c)
-			}
+			out.stable = append(out.stable, c)
 			continue
 		}
 		// Push. Left recursion makes the GSS chain grow unboundedly and is

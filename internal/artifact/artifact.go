@@ -40,7 +40,9 @@ import (
 )
 
 // Version is the artifact format version this build reads and writes.
-const Version = 1
+// Version 2 stores the DFA cache's stack-node table once and configs as
+// (alt, node, visited); version 1 stored every config's frames inline.
+const Version = 2
 
 // magic identifies a CoStar artifact stream.
 var magic = [4]byte{'C', 'S', 'A', 'R'}

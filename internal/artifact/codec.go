@@ -96,7 +96,14 @@ func Encode(a *Artifact) []byte {
 		e.bools(ts.CanFinish)
 	}
 
-	// SLL DFA cache snapshot.
+	// SLL DFA cache snapshot: the node table, then starts and states.
+	e.u32(uint32(len(a.Cache.Nodes)))
+	for _, n := range a.Cache.Nodes {
+		e.i32(int32(n.Lhs))
+		e.i32(n.Prod)
+		e.i32(n.Dot)
+		e.i32(n.Below)
+	}
 	e.u32(uint32(len(a.Cache.Starts)))
 	for _, se := range a.Cache.Starts {
 		e.i32(int32(se.NT))
@@ -110,12 +117,7 @@ func Encode(a *Artifact) []byte {
 		for j := range ss.Configs {
 			cs := &ss.Configs[j]
 			e.i32(cs.Alt)
-			e.u32(uint32(len(cs.Frames)))
-			for _, f := range cs.Frames {
-				e.i32(int32(f.Lhs))
-				e.i32(f.Prod)
-				e.i32(f.Dot)
-			}
+			e.i32(cs.Node)
 			e.i32s(cs.Visited)
 		}
 		e.i32s(ss.EdgeTerms)
@@ -214,6 +216,17 @@ func Decode(b []byte) (*Artifact, error) {
 	}
 
 	// SLL DFA cache snapshot.
+	nNodes := d.count(16) // lhs + prod + dot + below per node
+	if nNodes > 0 && d.err == nil {
+		a.Cache.Nodes = make([]prediction.NodeSnapshot, nNodes)
+	}
+	for i := 0; i < nNodes && d.err == nil; i++ {
+		n := &a.Cache.Nodes[i]
+		n.Lhs = grammar.NTID(d.i32())
+		n.Prod = d.i32()
+		n.Dot = d.i32()
+		n.Below = d.i32()
+	}
 	nStarts := d.count(8)
 	if nStarts > 0 && d.err == nil {
 		a.Cache.Starts = make([]prediction.StartSnapshot, 0, nStarts)
@@ -231,24 +244,14 @@ func Decode(b []byte) (*Artifact, error) {
 	for i := 0; i < nStates && d.err == nil; i++ {
 		var ss prediction.StateSnapshot
 		ss.Anomalous = d.bool()
-		nConfigs := d.count(12) // alt + frame count + visited count, minimum
+		nConfigs := d.count(12) // alt + node + visited count, minimum
 		if nConfigs > 0 && d.err == nil {
 			ss.Configs = make([]prediction.ConfigSnapshot, 0, nConfigs)
 		}
 		for j := 0; j < nConfigs && d.err == nil; j++ {
 			var cs prediction.ConfigSnapshot
 			cs.Alt = d.i32()
-			nFrames := d.count(12) // lhs + prod + dot per frame
-			if nFrames > 0 && d.err == nil {
-				cs.Frames = make([]prediction.FrameSnapshot, 0, nFrames)
-			}
-			for k := 0; k < nFrames && d.err == nil; k++ {
-				var f prediction.FrameSnapshot
-				f.Lhs = grammar.NTID(d.i32())
-				f.Prod = d.i32()
-				f.Dot = d.i32()
-				cs.Frames = append(cs.Frames, f)
-			}
+			cs.Node = d.i32()
 			cs.Visited = d.i32s()
 			ss.Configs = append(ss.Configs, cs)
 		}

@@ -170,6 +170,7 @@ func TestRealizeRejectsTampering(t *testing.T) {
 			panic("warmed artifact has no configs")
 		}, artifact.ErrCorrupt},
 	}
+	cases = append(cases, nodeRefTamperings...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := calcArtifact(t)
@@ -187,11 +188,50 @@ func TestRealizeRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestGoldenArtifact pins the version-1 byte format: the checked-in golden
+// nodeRefTamperings corrupt the cache's node references: a node resting
+// on itself, on a later node, or on no node at all, and a config naming a
+// node the table does not have. Each decodes (the byte layer is
+// syntactic) and must fail Realize.
+var nodeRefTamperings = []struct {
+	name   string
+	mutate func(a *artifact.Artifact)
+	want   error
+}{
+	{"cache node below self", func(a *artifact.Artifact) {
+		n := lastNode(a)
+		a.Cache.Nodes[n].Below = int32(n)
+	}, artifact.ErrCorrupt},
+	{"cache node below forward", func(a *artifact.Artifact) {
+		a.Cache.Nodes[0].Below = int32(lastNode(a))
+	}, artifact.ErrCorrupt},
+	{"cache node below out of range", func(a *artifact.Artifact) {
+		a.Cache.Nodes[lastNode(a)].Below = -2
+	}, artifact.ErrCorrupt},
+	{"cache config node out of range", func(a *artifact.Artifact) {
+		for i := range a.Cache.States {
+			if len(a.Cache.States[i].Configs) > 0 {
+				a.Cache.States[i].Configs[0].Node = int32(len(a.Cache.Nodes))
+				return
+			}
+		}
+		panic("warmed artifact has no configs")
+	}, artifact.ErrCorrupt},
+}
+
+// lastNode returns the index of the artifact's last cache node, which the
+// bottom-up table order guarantees is not the first.
+func lastNode(a *artifact.Artifact) int {
+	if len(a.Cache.Nodes) < 2 {
+		panic("warmed artifact has fewer than two stack nodes")
+	}
+	return len(a.Cache.Nodes) - 1
+}
+
+// TestGoldenArtifact pins the version-2 byte format: the checked-in golden
 // artifact must keep decoding, realizing, re-encoding bit-identically, and
 // parsing — so a payload-layout change without a Version bump fails here.
 func TestGoldenArtifact(t *testing.T) {
-	golden := filepath.Join("testdata", "calc_v1.csar")
+	golden := filepath.Join("testdata", "calc_v2.csar")
 	if *update {
 		if err := os.WriteFile(golden, artifact.Encode(calcArtifact(t)), 0o644); err != nil {
 			t.Fatal(err)
@@ -221,5 +261,17 @@ func TestGoldenArtifact(t *testing.T) {
 	word := []grammar.Token{grammar.Tok("num", "1"), grammar.Tok("plus", "+"), grammar.Tok("num", "2")}
 	if res := p.Parse(word); res.Kind != machine.Unique {
 		t.Fatalf("golden artifact session rejects num plus num: %v", res.Kind)
+	}
+}
+
+// TestGoldenV1Rejected: artifacts written in the version-1 layout (configs
+// with inline frames) are refused with ErrVersion rather than misread.
+func TestGoldenV1Rejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "calc_v1.csar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.Decode(data); !errors.Is(err, artifact.ErrVersion) {
+		t.Fatalf("version-1 artifact: Decode = %v, want ErrVersion", err)
 	}
 }

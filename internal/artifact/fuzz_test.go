@@ -27,6 +27,12 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("CSAR"))
 	f.Add([]byte{})
+	// Well-sealed artifacts whose cache node references are malformed.
+	for _, tc := range nodeRefTamperings {
+		a := calcArtifact(f)
+		tc.mutate(a)
+		f.Add(artifact.Encode(a))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := artifact.Decode(data)

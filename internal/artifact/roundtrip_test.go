@@ -9,6 +9,7 @@ package artifact_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"costar/internal/grammarlint"
 	"costar/internal/machine"
 	"costar/internal/parser"
+	"costar/internal/prediction"
 )
 
 // warmSession builds a certified session for l and warms its DFA on a small
@@ -76,6 +78,7 @@ func TestRoundTripBundledLanguages(t *testing.T) {
 			if !reflect.DeepEqual(a, back) {
 				t.Fatalf("decode(encode(a)) differs from a")
 			}
+			checkCacheIdentity(t, a.Cache)
 			if again := artifact.Encode(back); !bytes.Equal(data, again) {
 				t.Fatalf("re-encode differs: %d vs %d bytes", len(data), len(again))
 			}
@@ -164,6 +167,7 @@ func TestRoundTripRandomGrammars(t *testing.T) {
 			p.Parse(word)
 		}
 		a := export(t, p, "random")
+		checkCacheIdentity(t, a.Cache)
 		data := artifact.Encode(a)
 		back, err := artifact.Decode(data)
 		if err != nil {
@@ -180,5 +184,114 @@ func TestRoundTripRandomGrammars(t *testing.T) {
 		if !reflect.DeepEqual(a, a2) {
 			t.Fatalf("run %d: export after import differs", runs)
 		}
+	}
+}
+
+// checkCacheIdentity asserts the snapshot's node table and states are each
+// free of duplicates: the table is stored bottom-up (every node rests on an
+// earlier one) and holds each (frame, node below) once, and no two states
+// have the same anomaly flag and configs — node-id state keys and content
+// pick out the same states.
+func checkCacheIdentity(t testing.TB, snap prediction.CacheSnapshot) {
+	t.Helper()
+	nodes := make(map[prediction.NodeSnapshot]bool, len(snap.Nodes))
+	for i, n := range snap.Nodes {
+		if n.Below >= int32(i) {
+			t.Fatalf("node %d rests on node %d, not an earlier one", i, n.Below)
+		}
+		if nodes[n] {
+			t.Fatalf("node %d duplicates an earlier node", i)
+		}
+		nodes[n] = true
+	}
+	states := make(map[string]bool, len(snap.States))
+	for i, st := range snap.States {
+		key := fmt.Sprint(st.Anomalous, st.Configs)
+		if states[key] {
+			t.Fatalf("state %d duplicates an earlier state's content", i)
+		}
+		states[key] = true
+	}
+}
+
+// extendConverges warms p on first, exports, realizes a second session from
+// the artifact, parses rest on both, and requires identical final exports:
+// a DFA extended after an import converges on the states the original
+// session reaches.
+func extendConverges(t *testing.T, p *parser.Parser, name string, rest [][]grammar.Token) {
+	t.Helper()
+	a := export(t, p, name)
+	checkCacheIdentity(t, a.Cache)
+	back, err := artifact.Decode(artifact.Encode(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := parser.NewFromArtifact(back, parser.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range rest {
+		r1, r2 := p.Parse(w), p2.Parse(w)
+		if r1.Kind != r2.Kind {
+			t.Fatalf("%s: imported session answered %v, original %v", name, r2.Kind, r1.Kind)
+		}
+	}
+	got, want := export(t, p2, name), export(t, p, name)
+	checkCacheIdentity(t, want.Cache)
+	if !reflect.DeepEqual(got.Cache, want.Cache) {
+		t.Fatalf("%s: extended import has %d states / %d nodes, original %d / %d",
+			name, len(got.Cache.States), len(got.Cache.Nodes), len(want.Cache.States), len(want.Cache.Nodes))
+	}
+}
+
+// TestExtendAfterImportBundledLanguages: warm, export, import, extend on
+// more documents — the imported session must converge on the original's
+// DFA for every bundled language.
+func TestExtendAfterImportBundledLanguages(t *testing.T) {
+	for _, l := range bench.Languages() {
+		l := l
+		t.Run(l.Name, func(t *testing.T) {
+			p := warmSession(t, l)
+			more, err := bench.Corpus(l, bench.Config{Files: 3, MinTokens: 900, MaxTokens: 1500, Trials: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rest [][]grammar.Token
+			for _, f := range more {
+				rest = append(rest, f.Tokens)
+			}
+			extendConverges(t, p, l.Name, rest)
+		})
+	}
+}
+
+// TestExtendAfterImportRandomGrammars is the same property over the
+// randomized grammars of TestRoundTripRandomGrammars, warmed and extended
+// with random words (accepted or rejected).
+func TestExtendAfterImportRandomGrammars(t *testing.T) {
+	rng := rand.New(rand.NewSource(271828))
+	word := func() []grammar.Token {
+		w := make([]grammar.Token, rng.Intn(12))
+		for i := range w {
+			n := []string{"a", "b", "c", "x", "y"}[rng.Intn(5)]
+			w[i] = grammar.Tok(n, n)
+		}
+		return w
+	}
+	for runs := 0; runs < 60; {
+		g := randomGrammar(rng)
+		if g.Validate() != nil {
+			continue
+		}
+		runs++
+		p := parser.MustNew(g, parser.Options{})
+		for w := 0; w < 10; w++ {
+			p.Parse(word())
+		}
+		var rest [][]grammar.Token
+		for w := 0; w < 10; w++ {
+			rest = append(rest, word())
+		}
+		extendConverges(t, p, "random", rest)
 	}
 }

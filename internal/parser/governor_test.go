@@ -8,6 +8,7 @@ package parser
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,33 @@ func TestParseContextDeadline(t *testing.T) {
 	}
 	if !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Error("cause chain lost: errors.Is(err, context.DeadlineExceeded) is false")
+	}
+}
+
+// TestSourceFailureAfterDeadline: a token source that stalls until the
+// parse's deadline has fired and then fails with its own error — what a
+// server's read-deadline hook makes of a stalled body — is a deadline, not
+// a source failure, and the source's error stays in the chain.
+func TestSourceFailureAfterDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	g := fig2()
+	words := longWord(50)
+	pull := func() (grammar.Token, bool, error) {
+		if len(words) > 25 {
+			tok := words[0]
+			words = words[1:]
+			return tok, true, nil
+		}
+		<-ctx.Done()
+		return grammar.Token{}, false, os.ErrDeadlineExceeded
+	}
+	res := MustNew(g, Options{}).ParseSourceContext(ctx, source.FromPull(g.Compiled(), pull))
+	if me := limitErr(t, res); me.Kind != machine.ErrDeadline {
+		t.Fatalf("want ErrDeadline, got kind=%d (%v)", me.Kind, me)
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) || !errors.Is(res.Err, os.ErrDeadlineExceeded) {
+		t.Errorf("cause chain %v lost the deadline or the source error", res.Err)
 	}
 }
 

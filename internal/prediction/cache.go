@@ -1,26 +1,27 @@
 package prediction
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"costar/internal/grammar"
-	"costar/internal/machine"
 )
 
 // dfaState is one state of the SLL prediction DFA: a canonical set of
 // stable subparser configurations plus its precomputed resolution facts and
 // outgoing edges (∆ of Figure 1, with states q as subparser sets).
 //
-// Concurrency: every field except edges is immutable after interning.
-// edges grows copy-on-write — readers follow transitions with a single
-// atomic load (edge), writers serialize on mu and publish a fresh map
-// (setEdge) — so the warm-cache hit path is lock-free. Edges are keyed by
-// dense terminal IDs and state identity is a packed-int32 byte string;
-// neither hashes a symbol name.
+// Concurrency: every field except edges is immutable after interning, and
+// so are the table nodes the configs point at. edges grows copy-on-write —
+// readers follow transitions with a single atomic load (edge), writers
+// serialize on mu and publish a fresh map (setEdge) — so the warm-cache
+// hit path is lock-free. Edges are keyed by dense terminal IDs and state
+// identity is a string of (alt, node id) pairs; neither hashes a symbol
+// name.
 type dfaState struct {
-	key        string
-	configs    []config // stable, canonically ordered (halted included)
+	configs    []config // stable, sorted by (alt, node id), halted included
 	haltedAlts []int    // alts with a completed simulated parse
 	uniqueAlt  int      // converged alternative, or -1
 	anomalous  bool     // construction involved a subparser kill
@@ -64,16 +65,19 @@ func (st *dfaState) installEdges(m map[grammar.TermID]*dfaState) {
 }
 
 // cacheGen is one generation of cached DFA states; Reset swaps the whole
-// generation so in-flight readers keep a consistent snapshot.
+// generation so in-flight readers keep a consistent snapshot. A generation
+// owns the node table its states' stacks live in, so states and nodes are
+// dropped together.
 type cacheGen struct {
-	mu      sync.Mutex // serializes copy-on-write updates to starts
+	mu      sync.Mutex // serializes starts updates and every intern
 	starts  atomic.Pointer[map[grammar.NTID]*dfaState]
-	states  sync.Map     // fingerprint → *dfaState
-	nStates atomic.Int64 // interned-state count (sync.Map has no cheap len)
+	states  map[string]*dfaState // state key → state; guarded by mu
+	nodes   nodeTable            // guarded by mu
+	nStates atomic.Int64         // len(states), readable without mu
 }
 
 func newGen() *cacheGen {
-	g := &cacheGen{}
+	g := &cacheGen{states: make(map[string]*dfaState)}
 	m := make(map[grammar.NTID]*dfaState)
 	g.starts.Store(&m)
 	return g
@@ -81,22 +85,22 @@ func newGen() *cacheGen {
 
 // installStarts publishes a complete start map on a generation not yet
 // visible to any reader (snapshot import); shared generations grow starts
-// only through Cache.start's copy-on-write path.
+// only through start's copy-on-write path.
 func (g *cacheGen) installStarts(m map[grammar.NTID]*dfaState) {
 	g.starts.Store(&m)
 }
 
 // Cache is the persistent SLL DFA: start states per decision nonterminal
-// and interned states by fingerprint. A Cache belongs to one grammar; reuse
-// across inputs is safe and is how the "warmed cache" configurations of
-// Figure 11 and the session API work.
+// and interned states by key. A Cache belongs to one grammar; reuse across
+// inputs is safe and is how the "warmed cache" configurations of Figure 11
+// and the session API work.
 //
 // A Cache is safe for concurrent use by any number of goroutines. The
-// design exploits ALL(*)'s cache monotonicity: states are content-addressed
-// (interning is idempotent), so goroutines racing to extend the DFA
-// converge on identical states and losers discard their builds. Lookups on
-// the warm path (start-state fetch, edge following) are lock-free; only
-// cache growth takes short mutexes.
+// design exploits ALL(*)'s cache monotonicity: states are identified by
+// content (interning is idempotent), so goroutines racing to extend the
+// DFA converge on identical states and losers discard their builds.
+// Lookups on the warm path (start-state fetch, edge following) are
+// lock-free; only cache growth takes short mutexes.
 type Cache struct {
 	gen atomic.Pointer[cacheGen]
 }
@@ -113,8 +117,7 @@ func NewCache() *Cache {
 // identical state, so whichever publishes first wins without divergence.
 // A nil build result (the builder was halted by its parse's governor) is
 // returned as-is and never published: the next parse rebuilds cleanly.
-func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
-	g := c.gen.Load()
+func (g *cacheGen) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 	if st, ok := (*g.starts.Load())[nt]; ok {
 		return st
 	}
@@ -137,43 +140,95 @@ func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 	return st
 }
 
-// intern canonicalizes a closure result into a DFA state, reusing an
-// existing identical state when possible. Canonical order and identity are
-// content-based (SLL stacks are shallow — bounded by lookahead depth — so
-// serialization is cheap, and it is what lets distinct parses share
-// states). Identity is a packed byte string of config fingerprints, each
-// length-prefixed so the binary keys cannot collide across configs.
-// Content addressing also makes interning idempotent under concurrency:
-// LoadOrStore picks one winner per fingerprint and every racer gets it.
+// intern turns a closure result into a DFA state of generation g, reusing
+// the existing state with the same configs when there is one.
 //
-// res.stable aliases the calling engine's scratch (stacks and visited sets
-// live in decision-scoped arenas), so everything a new state retains is
-// deep-copied into cache-owned heap memory first. Only this cold path pays
-// the copy; warm-path cache hits never reach intern. The copy is also what
-// makes publication to the shared cache race-free: no published state ever
-// references another predictor's recycled scratch.
-func (c *Cache) intern(e *engine, res closureResult) *dfaState {
-	key := canonicalKey(res.anomaly != anomalyNone, res.stable)
-	g := c.gen.Load()
-	if st, ok := g.states.Load(key); ok {
-		return st.(*dfaState)
+// res.stable aliases the calling engine's scratch, so its stacks are first
+// translated into g's node table (nodeTable.canon): identical stacks
+// become one table node, and the configs of every state share their tails
+// instead of each owning a private chain. A state's identity is then its
+// anomaly flag plus its sorted (alt, node id) pairs — a key of eight bytes
+// per config, with no walk over stack frames. Content-equal configs map to
+// the same pair, so a state holds each config once.
+//
+// Everything runs under g.mu, on the miss path only: the table and the
+// state map are written nowhere else, and the warm path (start, edge)
+// reads neither. Racing interns of the same content serialize here and
+// all get the first one's state.
+func (g *cacheGen) intern(e *engine, res closureResult) *dfaState {
+	anomalous := res.anomaly != anomalyNone
+	if len(e.scr.memo) < int(e.scr.nNodes) {
+		e.scr.memo = append(e.scr.memo, make([]*node, int(e.scr.nNodes)-len(e.scr.memo))...)
 	}
-	alts, halted := e.altSummary(res.stable)
-	st := newDFAState(key, copyConfigs(res.stable), alts, append([]int(nil), halted...), res.anomaly != anomalyNone)
-	if prev, loaded := g.states.LoadOrStore(key, st); loaded {
-		return prev.(*dfaState)
+	e.scr.memoUsed = int(e.scr.nNodes)
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ks := e.scr.keyed[:0]
+	for i, cfg := range res.stable {
+		ks = append(ks, keyed{k: configKey(cfg.alt, g.nodes.canon(cfg.stack, e.scr.memo)), i: int32(i)})
 	}
+	slices.SortFunc(ks, compareKeyed)
+	ks = slices.CompactFunc(ks, func(a, b keyed) bool { return a.k == b.k })
+	e.scr.keyed = ks[:0]
+	key := stateKey(e.scr.key[:0], anomalous, ks)
+	e.scr.key = key[:0]
+	if st, ok := g.states[string(key)]; ok {
+		return st
+	}
+	// The state keeps its own configs, in key order. Their stacks were
+	// translated above; canon answers from the memo.
+	own := make([]config, len(ks))
+	for j, kc := range ks {
+		cfg := res.stable[kc.i]
+		own[j] = config{alt: cfg.alt, stack: g.nodes.canon(cfg.stack, e.scr.memo), visited: cfg.visited.Clone()}
+	}
+	alts, halted := e.altSummary(own)
+	st := newDFAState(own, alts, append([]int(nil), halted...), anomalous)
+	g.states[string(key)] = st
 	g.nStates.Add(1)
 	return st
 }
 
+// keyed is a config's identity, configKey, with the config's index in the
+// list it came from. Sorting keyed values orders configs without moving
+// them.
+type keyed struct {
+	k uint64
+	i int32
+}
+
+// configKey packs (alt, node id) into one integer whose order — alt, then
+// node id — is the order states keep their configs in. stack must be a
+// table node or nil.
+func configKey(alt int, stack *node) uint64 {
+	return uint64(uint32(alt))<<32 | uint64(uint32(idOf(stack)))
+}
+
+func compareKeyed(a, b keyed) int { return cmp.Compare(a.k, b.k) }
+
+// stateKey appends a state's identity to b: the anomaly byte, then each
+// config's (alt, node id) as two little-endian int32s. ks must be sorted
+// and distinct.
+func stateKey(b []byte, anomalous bool, ks []keyed) []byte {
+	if anomalous {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	for _, kc := range ks {
+		b = appendInt32(b, int32(kc.k>>32))
+		b = appendInt32(b, int32(uint32(kc.k)))
+	}
+	return b
+}
+
 // newDFAState assembles a state from cache-owned configs and its alt
 // summary (alts drive uniqueAlt; haltedAlts is retained). cfgs and
-// haltedAlts must already be owned by the cache — callers deep-copy scratch
-// before passing it here.
-func newDFAState(key string, cfgs []config, alts, haltedAlts []int, anomalous bool) *dfaState {
+// haltedAlts must already be owned by the cache: configs over table nodes
+// with cloned visited sets.
+func newDFAState(cfgs []config, alts, haltedAlts []int, anomalous bool) *dfaState {
 	st := &dfaState{
-		key:        key,
 		configs:    cfgs,
 		haltedAlts: haltedAlts,
 		uniqueAlt:  -1,
@@ -187,25 +242,6 @@ func newDFAState(key string, cfgs []config, alts, haltedAlts []int, anomalous bo
 	return st
 }
 
-// copyConfigs clones configs into cache-owned memory: the slice, each
-// stack chain, and each visited set's overflow words. Stack tails reaching
-// into previously interned states are copied too rather than detected —
-// SLL stacks are shallow, and content-addressed dedup bounds the total.
-func copyConfigs(cfgs []config) []config {
-	out := make([]config, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i] = config{alt: cfg.alt, stack: copyStack(cfg.stack), visited: cfg.visited.Clone()}
-	}
-	return out
-}
-
-func copyStack(s *machine.SuffixStack) *machine.SuffixStack {
-	if s == nil {
-		return nil
-	}
-	return &machine.SuffixStack{F: s.F, Below: copyStack(s.Below)}
-}
-
 // Size returns (#start states, #interned states); benchmarks report it as
 // the cache footprint. Safe to call while other goroutines parse.
 func (c *Cache) Size() (starts, states int) {
@@ -213,10 +249,10 @@ func (c *Cache) Size() (starts, states int) {
 	return len(*g.starts.Load()), int(g.nStates.Load())
 }
 
-// Reset discards all cached states (the "cold cache" configuration of the
-// Figure 11 experiment). Safe concurrently with parses: in-flight
-// predictions keep their consistent pre-Reset snapshot and merely stop
-// contributing growth to the new generation.
+// Reset discards all cached states and their node table (the "cold cache"
+// configuration of the Figure 11 experiment). Safe concurrently with
+// parses: in-flight predictions keep their consistent pre-Reset snapshot
+// and merely stop contributing growth to the new generation.
 func (c *Cache) Reset() {
 	c.gen.Store(newGen())
 }

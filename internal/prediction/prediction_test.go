@@ -285,7 +285,7 @@ func TestStatsLookaheadAccounting(t *testing.T) {
 }
 
 func TestFingerprints(t *testing.T) {
-	st := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(0), grammar.NTSym(1)}}, nil)
+	st := &node{f: machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(0), grammar.NTSym(1)}}, id: 1}
 	c1 := config{alt: 1, stack: st}
 	c2 := config{alt: 2, stack: st}
 	if c1.fingerprint(false) == c2.fingerprint(false) {
@@ -294,13 +294,13 @@ func TestFingerprints(t *testing.T) {
 	// A halted config (nil stack) must differ from a live config whose
 	// stack has one frame with an empty Rest.
 	halted := config{alt: 1}
-	emptyFrame := config{alt: 1, stack: machine.PushSuffix(machine.SuffixFrame{Lhs: 0}, nil)}
+	emptyFrame := config{alt: 1, stack: &node{f: machine.SuffixFrame{Lhs: 0}, pos: -1, id: 2}}
 	if halted.fingerprint(false) == emptyFrame.fingerprint(false) {
 		t.Error("halted configs must be distinguishable from empty stacks")
 	}
 	// Terminal 1 vs nonterminal 1: the sign encoding must separate them.
-	sa := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(1)}}, nil)
-	sb := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.NTSym(1)}}, nil)
+	sa := &node{f: machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(1)}}, id: 3}
+	sb := &node{f: machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.NTSym(1)}}, id: 4}
 	if (config{alt: 1, stack: sa}).fingerprint(false) == (config{alt: 1, stack: sb}).fingerprint(false) {
 		t.Error("terminal/nonterminal kind not encoded in fingerprint")
 	}

@@ -145,9 +145,11 @@ func TestCacheEdgeIdempotence(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			ap := New(g, Options{Cache: shared})
-			st := shared.start(startID, func() *dfaState { return ap.buildStart(startID) })
+			gen := shared.gen.Load()
+			ap.eng.beginDecision()
+			st := gen.start(startID, func() *dfaState { return ap.buildStart(gen, startID) })
 			res := ap.eng.closure(modeSLL, ap.eng.move(st.configs, aID))
-			got[k] = st.setEdge(aID, shared.intern(&ap.eng, res))
+			got[k] = st.setEdge(aID, gen.intern(&ap.eng, res))
 		}(k)
 	}
 	wg.Wait()

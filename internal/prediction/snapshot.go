@@ -4,60 +4,65 @@ package prediction
 // session that is expensive to rebuild (it is warmed by parsing a corpus)
 // and the reason ahead-of-time artifacts (internal/artifact) exist.
 //
-// The cache's content-addressed design makes it snapshot-friendly: a
-// dfaState's identity is a pure function of its configs, so the snapshot
-// stores configs as grammar positions and the import re-derives keys,
-// uniqueAlt, and haltedAlts instead of trusting serialized copies. Two
-// invariants make the grammar-position encoding mandatory rather than a
-// size optimization:
+// A snapshot mirrors the live generation: the stack-node table once, as
+// grammar positions, and every state's configs as (alt, node, visited)
+// triples over it. Three rules keep an imported generation
+// indistinguishable from a natively warmed one:
 //
-//   - Frame Rest slices must alias the compiled production arrays
-//     (prediction's closure dedup keys on the address of Rest's first
-//     element — subparser.go's dedupKey). A snapshot that serialized the
-//     symbols themselves would import states whose configs never merge
-//     with natively built ones, silently degrading closure to exponential
-//     on some grammars. Every Rest is therefore stored as (Prod, Dot) and
-//     rebuilt as Rhs(Prod)[Dot:].
+//   - Frames are stored as (Prod, Dot) and rebuilt as Rhs(Prod)[Dot:], so
+//     every Rest aliases the compiled production array and carries the
+//     same frame position closure would give it. Node identity, closure
+//     dedup, and state keys all rest on those positions; a snapshot that
+//     serialized the symbols themselves would import nodes that never
+//     merge with natively built ones.
 //
-//   - Imported states must be owned by the cache (the PR 6 lifetime
-//     contract): stacks and visited sets are freshly heap-allocated here,
-//     exactly as Cache.intern's deep-copy does on the cold path, so an
-//     imported generation is indistinguishable from a warmed one.
+//   - Nodes, configs, and visited sets are allocated fresh by Import and
+//     owned by the new generation, exactly like nodes cacheGen.intern adds.
 //
-// Export is deterministic (states sorted by interning key, edges by
-// terminal, starts by nonterminal) so that identical warm-ups produce
-// byte-identical artifacts and golden files are stable.
+//   - Identities are recomputed, never read: node keys from the rebuilt
+//     frames, state keys, uniqueAlt, and haltedAlts from the rebuilt
+//     configs.
+//
+// Export is deterministic (states and configs in content order, nodes
+// numbered by first use, edges by terminal, starts by nonterminal) so that
+// identical warm-ups produce byte-identical artifacts and golden files are
+// stable.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"costar/internal/grammar"
 	"costar/internal/machine"
 )
 
-// FrameSnapshot is one suffix-stack frame as a grammar position. Prod < 0
-// means the frame's Rest is empty (everything after the occurrence was
-// consumed); otherwise Rest is Rhs(Prod)[Dot:].
-type FrameSnapshot struct {
-	Lhs  grammar.NTID
-	Prod int32
-	Dot  int32
+// NodeSnapshot is one node of the cache's stack-node table: a frame as a
+// grammar position plus the index of the node below it, -1 at the bottom
+// of the stack. Prod < 0 means the frame's Rest is empty (everything after
+// the occurrence was consumed); otherwise Rest is Rhs(Prod)[Dot:]. Below
+// always refers to an earlier node, so the table is stored bottom-up.
+type NodeSnapshot struct {
+	Lhs   grammar.NTID
+	Prod  int32
+	Dot   int32
+	Below int32
 }
 
-// ConfigSnapshot is one subparser configuration. Frames are top-first; a
-// config with no frames is halted (simulated a complete parse). Visited
-// holds the visited-set members ascending.
+// ConfigSnapshot is one subparser configuration: its alternative, the
+// index of its top stack node (-1: halted, a complete simulated parse),
+// and its visited-set members ascending.
 type ConfigSnapshot struct {
 	Alt     int32
-	Frames  []FrameSnapshot
+	Node    int32
 	Visited []int32
 }
 
-// StateSnapshot is one DFA state: its configs (in canonical interning
-// order), anomaly flag, and outgoing edges as parallel (terminal, state
-// index) arrays sorted by terminal. haltedAlts and uniqueAlt are derived
-// facts and deliberately not stored — the import recomputes them.
+// StateSnapshot is one DFA state: its configs (in content order), anomaly
+// flag, and outgoing edges as parallel (terminal, state index) arrays
+// sorted by terminal. haltedAlts and uniqueAlt are derived facts and
+// deliberately not stored — the import recomputes them.
 type StateSnapshot struct {
 	Anomalous  bool
 	Configs    []ConfigSnapshot
@@ -71,67 +76,81 @@ type StartSnapshot struct {
 	State int32
 }
 
-// CacheSnapshot is a full warmed-DFA snapshot: every interned state plus
-// the start-state table, with all cross-references by state index.
+// CacheSnapshot is a full warmed-DFA snapshot: the node table once, every
+// interned state, and the start-state table, with all cross-references by
+// index.
 type CacheSnapshot struct {
+	Nodes  []NodeSnapshot
 	Starts []StartSnapshot
 	States []StateSnapshot
 }
 
-// restPos locates a compiled RHS suffix: Rest == Rhs(prod)[dot:].
-type restPos struct {
-	prod, dot int32
-}
-
-// restIndex maps the address of each compiled RHS element to its grammar
-// position, inverting the aliasing that pins frames to productions.
-func restIndex(cg *grammar.Compiled) map[*grammar.SymID]restPos {
-	n := len(cg.Grammar().Prods)
-	idx := make(map[*grammar.SymID]restPos)
-	for i := 0; i < n; i++ {
-		rhs := cg.Rhs(i)
-		for d := range rhs {
-			idx[&rhs[d]] = restPos{prod: int32(i), dot: int32(d)}
-		}
-	}
-	return idx
-}
-
 // Export snapshots the cache's current generation. cg must be the compiled
 // grammar the cache was warmed against. The snapshot is deterministic:
-// re-exporting an identical cache yields an identical value.
+// states are ordered by content key (canonicalKey), their configs by
+// content, and nodes are numbered bottom-up in the order those configs
+// first reach them — so re-exporting an identical cache, however it was
+// built, yields an identical value.
 func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	gen := c.gen.Load()
-	var sts []*dfaState
-	gen.states.Range(func(_, v any) bool {
-		sts = append(sts, v.(*dfaState))
-		return true
-	})
-	sort.Slice(sts, func(i, j int) bool { return sts[i].key < sts[j].key })
-	index := make(map[*dfaState]int32, len(sts))
-	for i, st := range sts {
-		index[st] = int32(i)
+	gen.mu.Lock()
+	type entry struct {
+		st   *dfaState
+		key  string
+		cfgs []config
 	}
-	pos := restIndex(cg)
+	es := make([]entry, 0, len(gen.states))
+	for _, st := range gen.states {
+		es = append(es, entry{st: st})
+	}
+	gen.mu.Unlock()
+	for i := range es {
+		es[i].cfgs = slices.Clone(es[i].st.configs)
+		es[i].key = canonicalKey(es[i].st.anomalous, es[i].cfgs)
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	index := make(map[*dfaState]int32, len(es))
+	for i, e := range es {
+		index[e.st] = int32(i)
+	}
 
 	var snap CacheSnapshot
-	if len(sts) == 0 {
+	if len(es) == 0 {
 		return snap, nil
 	}
-	snap.States = make([]StateSnapshot, len(sts))
-	for i, st := range sts {
-		ss := StateSnapshot{Anomalous: st.anomalous}
-		if len(st.configs) > 0 {
-			ss.Configs = make([]ConfigSnapshot, len(st.configs))
-			for j, cfg := range st.configs {
-				cs, err := exportConfig(cg, cfg, pos)
-				if err != nil {
-					return CacheSnapshot{}, err
+	pos := newPositions(cg)
+	nodeIndex := make(map[*node]int32)
+	var number func(n *node) int32
+	number = func(n *node) int32 {
+		if n == nil {
+			return -1
+		}
+		if i, ok := nodeIndex[n]; ok {
+			return i
+		}
+		ns := NodeSnapshot{Lhs: n.f.Lhs, Prod: -1, Below: number(n.below)}
+		if n.pos >= 0 {
+			prod, dot := pos.prodDot(n.pos)
+			ns.Prod, ns.Dot = int32(prod), int32(dot)
+		}
+		i := int32(len(snap.Nodes))
+		snap.Nodes = append(snap.Nodes, ns)
+		nodeIndex[n] = i
+		return i
+	}
+	snap.States = make([]StateSnapshot, len(es))
+	for i, e := range es {
+		ss := StateSnapshot{Anomalous: e.st.anomalous}
+		if len(e.cfgs) > 0 {
+			ss.Configs = make([]ConfigSnapshot, len(e.cfgs))
+			for j, cfg := range e.cfgs {
+				if cfg.stack != nil && cfg.stack.pos == posOpaque {
+					return CacheSnapshot{}, fmt.Errorf("prediction: cache export: state holds a frame that is not a production suffix")
 				}
-				ss.Configs[j] = cs
+				ss.Configs[j] = ConfigSnapshot{Alt: int32(cfg.alt), Node: number(cfg.stack), Visited: visitedMembers(cfg.visited)}
 			}
 		}
-		edges := *st.edges.Load()
+		edges := *e.st.edges.Load()
 		if len(edges) > 0 {
 			terms := make([]int32, 0, len(edges))
 			for t := range edges {
@@ -167,60 +186,55 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	return snap, nil
 }
 
-func exportConfig(cg *grammar.Compiled, cfg config, pos map[*grammar.SymID]restPos) (ConfigSnapshot, error) {
-	cs := ConfigSnapshot{Alt: int32(cfg.alt)}
-	for s := cfg.stack; s != nil; s = s.Below {
-		f := FrameSnapshot{Lhs: s.F.Lhs, Prod: -1}
-		if len(s.F.Rest) > 0 {
-			p, ok := pos[&s.F.Rest[0]]
-			if !ok {
-				return cs, fmt.Errorf("prediction: cache export: frame rest does not alias a compiled production")
-			}
-			if len(s.F.Rest) != len(cg.Rhs(int(p.prod)))-int(p.dot) {
-				return cs, fmt.Errorf("prediction: cache export: frame rest is not a production suffix")
-			}
-			f.Prod, f.Dot = p.prod, p.dot
-		}
-		cs.Frames = append(cs.Frames, f)
+func visitedMembers(v machine.NTSet) []int32 {
+	members := v.Members()
+	if len(members) == 0 {
+		return nil
 	}
-	if members := cfg.visited.Members(); len(members) > 0 {
-		cs.Visited = make([]int32, len(members))
-		for i, id := range members {
-			cs.Visited[i] = int32(id)
-		}
+	out := make([]int32, len(members))
+	for i, id := range members {
+		out[i] = int32(id)
 	}
-	return cs, nil
+	return out
 }
 
-// Import replaces the cache's generation with one rebuilt from snap,
-// re-interning every state into cache-owned heap memory. Every reference
-// is bounds-checked against the compiled grammar — Import is the trust
-// boundary for deserialized caches, so malformed snapshots yield an error
-// and leave the cache untouched. State keys, uniqueAlt, and haltedAlts are
-// recomputed from the reconstructed configs, so an imported state is
-// content-addressed identically to a natively interned one and later
-// warm-up seamlessly extends the imported DFA.
+// Import replaces the cache's generation with one rebuilt from snap. Every
+// reference is bounds-checked against the compiled grammar — Import is the
+// trust boundary for deserialized caches, so malformed snapshots yield an
+// error and leave the cache untouched.
+//
+// The node table is rebuilt in one pass into a single allocation: each
+// node may only sit on an earlier one (forward and self references are
+// rejected, so the stacks are finite), and no two nodes may have the same
+// frame over the same node below. State keys, uniqueAlt, and haltedAlts
+// are recomputed from the rebuilt configs, never read from the snapshot,
+// so an imported state has exactly the identity it would have been
+// interned under natively and later warm-up seamlessly extends the
+// imported DFA.
 func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	gen := newGen()
+	nodes, err := importNodes(cg, &gen.nodes, snap.Nodes)
+	if err != nil {
+		return err
+	}
 	n := len(snap.States)
 	sts := make([]*dfaState, n)
+	var key []byte
 	for i, ss := range snap.States {
-		cfgs, err := importConfigs(cg, ss.Configs)
+		cfgs, err := importConfigs(cg, nodes, ss.Configs)
 		if err != nil {
 			return fmt.Errorf("state %d: %w", i, err)
 		}
-		// The key is re-derived from the imported configs — never trusted
-		// from the snapshot — so a rebuilt state lands on exactly the
-		// identity it would have been interned under natively.
-		key := canonicalKey(ss.Anomalous, cfgs)
-		alts, halted := altsOf(cfgs)
-		st := newDFAState(key, cfgs, alts, halted, ss.Anomalous)
-		if _, loaded := gen.states.LoadOrStore(key, st); loaded {
-			return fmt.Errorf("prediction: cache snapshot: states %d duplicates an earlier state", i)
+		key = stateKey(key[:0], ss.Anomalous, keysOf(cfgs))
+		if _, dup := gen.states[string(key)]; dup {
+			return fmt.Errorf("prediction: cache snapshot: state %d duplicates an earlier state", i)
 		}
-		gen.nStates.Add(1)
+		alts, halted := altsOf(cfgs)
+		st := newDFAState(cfgs, alts, halted, ss.Anomalous)
+		gen.states[string(key)] = st
 		sts[i] = st
 	}
+	gen.nStates.Store(int64(n))
 	for i, ss := range snap.States {
 		if len(ss.EdgeTerms) != len(ss.EdgeStates) {
 			return fmt.Errorf("prediction: cache snapshot: state %d has %d edge terms but %d targets", i, len(ss.EdgeTerms), len(ss.EdgeStates))
@@ -267,52 +281,78 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	return nil
 }
 
-func importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot) ([]config, error) {
+// importNodes rebuilds the node table t from snaps and returns the nodes
+// by snapshot index.
+func importNodes(cg *grammar.Compiled, t *nodeTable, snaps []NodeSnapshot) ([]node, error) {
+	if len(snaps) == 0 {
+		return nil, nil
+	}
+	pos := newPositions(cg)
+	nProds := len(cg.Grammar().Prods)
+	nodes := make([]node, len(snaps))
+	t.index = make(map[uint64]*node, len(snaps))
+	for i, ns := range snaps {
+		var below *node
+		switch {
+		case ns.Below >= int32(i):
+			return nil, fmt.Errorf("prediction: cache snapshot: node %d sits on node %d, not an earlier one", i, ns.Below)
+		case ns.Below >= 0:
+			below = &nodes[ns.Below]
+		case ns.Below != -1:
+			return nil, fmt.Errorf("prediction: cache snapshot: node %d: below %d out of range", i, ns.Below)
+		}
+		f := machine.SuffixFrame{Lhs: ns.Lhs}
+		var p int32
+		if ns.Prod >= 0 {
+			if int(ns.Prod) >= nProds {
+				return nil, fmt.Errorf("prediction: cache snapshot: node %d: production %d out of range", i, ns.Prod)
+			}
+			rhs := cg.Rhs(int(ns.Prod))
+			if ns.Dot < 0 || int(ns.Dot) >= len(rhs) {
+				return nil, fmt.Errorf("prediction: cache snapshot: node %d: dot %d out of range for production %d", i, ns.Dot, ns.Prod)
+			}
+			if cg.Lhs(int(ns.Prod)) != ns.Lhs {
+				return nil, fmt.Errorf("prediction: cache snapshot: node %d: lhs %d does not own production %d", i, ns.Lhs, ns.Prod)
+			}
+			// Rest is the production's own backing array, exactly as
+			// closure builds it.
+			f.Rest = rhs[ns.Dot:]
+			p = pos.of(ns.Lhs, int(ns.Prod), int(ns.Dot))
+		} else if ns.Lhs < 0 || int(ns.Lhs) >= cg.NumNTs() {
+			return nil, fmt.Errorf("prediction: cache snapshot: node %d: nonterminal %d out of range", i, ns.Lhs)
+		} else {
+			p = -int32(ns.Lhs) - 1
+		}
+		k := nodeKey(p, idOf(below))
+		if _, dup := t.index[k]; dup {
+			return nil, fmt.Errorf("prediction: cache snapshot: node %d duplicates an earlier node", i)
+		}
+		nodes[i] = node{f: f, below: below, pos: p, id: int32(i + 1)}
+		t.index[k] = &nodes[i]
+	}
+	t.n = int32(len(nodes))
+	return nodes, nil
+}
+
+// importConfigs rebuilds one state's configs over the imported nodes, in
+// the (alt, node id) order interning keeps them in.
+func importConfigs(cg *grammar.Compiled, nodes []node, snaps []ConfigSnapshot) ([]config, error) {
 	if len(snaps) == 0 {
 		return nil, nil
 	}
 	nProds := len(cg.Grammar().Prods)
-	// One slab of stack nodes for the whole state: large warmed snapshots
-	// carry hundreds of thousands of frames, and a per-frame allocation
-	// here dominated artifact load time. The slab is heap memory owned by
-	// the cache generation, exactly like individually allocated nodes.
-	total := 0
-	for _, cs := range snaps {
-		total += len(cs.Frames)
-	}
-	nodes := make([]machine.SuffixStack, total)
-	next := 0
 	out := make([]config, 0, len(snaps))
 	var ids []grammar.NTID // scratch; NTSetFromMembers does not retain it
 	for ci, cs := range snaps {
 		if cs.Alt < 0 || int(cs.Alt) >= nProds {
 			return nil, fmt.Errorf("config %d: alt %d out of range", ci, cs.Alt)
 		}
-		var stack *machine.SuffixStack
-		for fi := len(cs.Frames) - 1; fi >= 0; fi-- {
-			f := cs.Frames[fi]
-			var rest []grammar.SymID
-			if f.Prod >= 0 {
-				if int(f.Prod) >= nProds {
-					return nil, fmt.Errorf("config %d frame %d: production %d out of range", ci, fi, f.Prod)
-				}
-				rhs := cg.Rhs(int(f.Prod))
-				if f.Dot < 0 || int(f.Dot) >= len(rhs) {
-					return nil, fmt.Errorf("config %d frame %d: dot %d out of range for production %d", ci, fi, f.Dot, f.Prod)
-				}
-				if cg.Lhs(int(f.Prod)) != f.Lhs {
-					return nil, fmt.Errorf("config %d frame %d: lhs %d does not own production %d", ci, fi, f.Lhs, f.Prod)
-				}
-				// The aliasing invariant: Rest is the production's own
-				// backing array, so closure dedup merges imported and
-				// natively built configs by pointer identity.
-				rest = rhs[f.Dot:]
-			} else if f.Lhs < 0 || int(f.Lhs) >= cg.NumNTs() {
-				return nil, fmt.Errorf("config %d frame %d: nonterminal %d out of range", ci, fi, f.Lhs)
-			}
-			nodes[next] = machine.SuffixStack{F: machine.SuffixFrame{Lhs: f.Lhs, Rest: rest}, Below: stack}
-			stack = &nodes[next]
-			next++
+		var stack *node
+		switch {
+		case cs.Node >= 0 && int(cs.Node) < len(nodes):
+			stack = &nodes[cs.Node]
+		case cs.Node != -1:
+			return nil, fmt.Errorf("config %d: node %d out of range", ci, cs.Node)
 		}
 		ids = ids[:0]
 		for _, id := range cs.Visited {
@@ -327,7 +367,24 @@ func importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot) ([]config, erro
 		}
 		out = append(out, config{alt: int(cs.Alt), stack: stack, visited: visited})
 	}
+	slices.SortFunc(out, func(a, b config) int {
+		return cmp.Compare(configKey(a.alt, a.stack), configKey(b.alt, b.stack))
+	})
+	for i := 1; i < len(out); i++ {
+		if configKey(out[i-1].alt, out[i-1].stack) == configKey(out[i].alt, out[i].stack) {
+			return nil, fmt.Errorf("config %d: duplicate (alt, node) pair", i)
+		}
+	}
 	return out, nil
+}
+
+// keysOf returns the keys of configs over table nodes, in their order.
+func keysOf(cfgs []config) []keyed {
+	ks := make([]keyed, len(cfgs))
+	for i, cfg := range cfgs {
+		ks[i] = keyed{k: configKey(cfg.alt, cfg.stack), i: int32(i)}
+	}
+	return ks
 }
 
 // altsOf is the allocation-free-path-independent form of engine.altSummary

@@ -9,7 +9,8 @@
 // carry only local context and, when their stack empties, return into every
 // statically possible continuation (analysis.Targets — the "stable return
 // frames" of Section 3.5), which makes SLL an overapproximation of LL.
-// SLL steps are cached in a DFA keyed by subparser-set fingerprints; the
+// SLL steps are cached in a DFA whose states are keyed by their subparser
+// sets, as (alt, stack-node id) pairs over a hash-consed node table; the
 // cache persists across decisions, across a whole input, and (via parser
 // sessions) across inputs. The cache is safe for concurrent use: states
 // are content-addressed, so goroutines racing to extend the DFA intern
@@ -17,9 +18,9 @@
 // serve many parsing goroutines at once.
 //
 // Everything here runs on the compiled grammar: configs hold dense symbol
-// IDs, the visited sets are bitsets, and DFA fingerprints are packed int32
-// byte strings rather than symbol names — the §6.1 string-comparison cost
-// the paper measures is gone from this hot path.
+// IDs, the visited sets are bitsets, and simulated stacks are nodes of a
+// graph-structured stack (gss.go) with integer identities — the §6.1
+// string-comparison cost the paper measures is gone from this hot path.
 package prediction
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"costar/internal/arena"
 	"costar/internal/grammar"
+	"costar/internal/keyset"
 	"costar/internal/machine"
 )
 
@@ -37,7 +39,7 @@ import (
 // if the input ends exactly here.
 type config struct {
 	alt     int
-	stack   *machine.SuffixStack
+	stack   *node
 	visited machine.NTSet
 }
 
@@ -89,12 +91,13 @@ const (
 )
 
 // engine carries the pieces shared by all prediction calls: the compiled
-// grammar and static analyses (immutable), the per-parse governor, the
-// per-call closure budget, a pointer to the predictor's Stats so budget
-// exhaustions are reported rather than silently absorbed, and the reused
-// scratch buffers.
+// grammar, its position numbering and static analyses (immutable), the
+// per-parse governor, the per-call closure budget, a pointer to the
+// predictor's Stats so budget exhaustions are reported rather than silently
+// absorbed, and the reused scratch buffers.
 type engine struct {
 	c       *grammar.Compiled
+	pos     positions
 	targets *Targets
 	gov     *machine.Governor
 	budget  int // per-closure-call expansion budget
@@ -102,77 +105,67 @@ type engine struct {
 	scr     *scratch
 }
 
-// scratch is the engine's reusable prediction memory: worklists, dedup
-// maps, alt summaries, and the arenas configs are built in. Everything here
-// is recycled — buffers across calls, arenas at the start of each decision
-// — so the warm prediction path allocates nothing.
+// scratch is the engine's reusable prediction memory: worklists, the dedup
+// set, alt summaries, the arenas configs are built in, and the memo
+// cacheGen.intern translates scratch nodes through. Everything here is
+// recycled — buffers across calls, arenas and the memo at the start of
+// each decision — so the warm prediction path allocates nothing.
 //
 // Lifetime contract: a []config returned by closure (res.stable), move, or
 // altSummary is valid only until the engine's next call of the same kind,
-// and every config's stack and visited set die when the current decision
-// ends. Results that must outlive a decision — DFA states — are
-// deep-copied by Cache.intern into cache-owned memory.
+// and every scratch node and visited set dies when the current decision
+// ends. What a DFA state retains is translated by cacheGen.intern into the
+// generation's node table (stacks) and cloned (visited sets and slices);
+// no published state references scratch.
 type scratch struct {
-	work       []config
-	stable     []config
-	moved      []config
-	initial    []config
-	seen       map[dedupKey]bool
-	stableSeen map[dedupKey]bool
-	alts       []int
-	halted     []int
-	suffix     arena.Arena[machine.SuffixStack] // closure-built stack nodes
-	words      arena.Slab[uint64]               // visited-set overflow words
+	work     []config
+	stable   []config
+	moved    []config
+	initial  []config
+	keyed    []keyed // cacheGen.intern's sort buffer
+	key      []byte  // cacheGen.intern's key buffer
+	seen     keyset.Set[dedupKey]
+	alts     []int
+	halted   []int
+	nodes    arena.Arena[node]  // closure- and move-built stack nodes
+	nNodes   int32              // scratch nodes this decision; ids are -1..-nNodes
+	memo     []*node            // scratch node → table node, by -id-1
+	memoUsed int                // memo prefix written this decision
+	words    arena.Slab[uint64] // visited-set overflow words
 }
 
-// beginDecision recycles the decision-scoped arenas. Safe because nothing
-// allocated from them survives a decision (see scratch).
+// beginDecision recycles the decision-scoped arenas and the intern memo.
+// Safe because nothing allocated from them survives a decision (see
+// scratch).
 func (e *engine) beginDecision() {
-	e.scr.suffix.Reset()
+	e.scr.nodes.Reset()
 	e.scr.words.Reset()
+	clear(e.scr.memo[:e.scr.memoUsed])
+	e.scr.nNodes, e.scr.memoUsed = 0, 0
 }
 
-// push allocates a suffix node from the decision arena.
-func (e *engine) push(f machine.SuffixFrame, below *machine.SuffixStack) *machine.SuffixStack {
-	return e.scr.suffix.New(machine.SuffixStack{F: f, Below: below})
+// push allocates a scratch node from the decision arena.
+func (e *engine) push(f machine.SuffixFrame, pos int32, below *node) *node {
+	e.scr.nNodes++
+	return e.scr.nodes.New(node{f: f, below: below, pos: pos, id: -e.scr.nNodes})
+}
+
+// below returns the node under n. An LL scratch node whose tail is still
+// the machine's real stack materializes that stack's top frame here, once:
+// later pops through n reuse the same node, so dedup sees one identity per
+// real frame.
+func (e *engine) below(n *node) *node {
+	if n.below == nil && n.real != nil {
+		b := e.push(n.real.F, posOpaque, nil)
+		b.real = n.real.Below
+		n.below, n.real = b, nil
+	}
+	return n.below
 }
 
 // Targets is re-exported from analysis to keep this package's surface
 // self-contained.
 type Targets = targetsAlias
-
-// dedupKey identifies a config cheaply for closure-time merging: the top
-// frame by content (Rest slices alias compiled production arrays, so the
-// address of their first element pins the grammar position) and the tail by
-// pointer. The visited set is deliberately excluded: within a round every
-// config starts with an empty visited set (move clears it), so two configs
-// with equal (alt, stack) have futures that differ at most in when a
-// left-recursion kill fires — and any such kill still witnesses a genuine
-// nullable loop. Merging is therefore sound, and it is what keeps closure
-// polynomial on deep expression grammars.
-type dedupKey struct {
-	alt      int
-	lhs      grammar.NTID
-	restHead *grammar.SymID
-	restLen  int
-	below    *machine.SuffixStack
-	halted   bool
-}
-
-func keyOf(c config) dedupKey {
-	k := dedupKey{alt: c.alt}
-	if c.stack == nil {
-		k.halted = true
-		return k
-	}
-	k.lhs = c.stack.F.Lhs
-	k.restLen = len(c.stack.F.Rest)
-	if k.restLen > 0 {
-		k.restHead = &c.stack.F.Rest[0]
-	}
-	k.below = c.stack.Below
-	return k
-}
 
 // closure drives every config to a stable configuration, expanding
 // nonterminals into all their right-hand sides (push), popping exhausted
@@ -180,20 +173,14 @@ func keyOf(c config) dedupKey {
 // targets. Left-recursive expansions kill the config and record an anomaly.
 //
 // The input slice is consumed; the returned res.stable aliases engine
-// scratch and is valid until the next closure call (Cache.intern copies).
+// scratch and is valid until the next closure call (cacheGen.intern
+// translates what it keeps).
 func (e *engine) closure(m mode, in []config) (res closureResult) {
 	budget := e.budget
 	work := append(e.scr.work[:0], in...)
 	stable := e.scr.stable[:0]
-	seen := e.scr.seen
-	stableSeen := e.scr.stableSeen
-	if seen == nil {
-		seen, stableSeen = make(map[dedupKey]bool), make(map[dedupKey]bool)
-		e.scr.seen, e.scr.stableSeen = seen, stableSeen
-	} else {
-		clear(seen)
-		clear(stableSeen)
-	}
+	seen := &e.scr.seen
+	seen.Reset()
 	defer func() {
 		// Hand the (possibly grown) buffers back so later calls reuse them.
 		e.scr.work = work[:0]
@@ -214,23 +201,21 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 		cfg := work[len(work)-1]
 		work = work[:len(work)-1]
 
-		key := keyOf(cfg)
-		if seen[key] {
+		if !seen.Add(keyOf(cfg)) {
 			continue
 		}
-		seen[key] = true
 
 		if cfg.stack == nil {
-			stable = addStable(stable, stableSeen, cfg)
+			stable = append(stable, cfg)
 			continue
 		}
-		top := cfg.stack.F
+		top := cfg.stack.f
 		if len(top.Rest) == 0 {
-			if cfg.stack.Below != nil {
+			if below := e.below(cfg.stack); below != nil {
 				// Ordinary return to the caller frame.
 				work = append(work, config{
 					alt:     cfg.alt,
-					stack:   cfg.stack.Below,
+					stack:   below,
 					visited: cfg.visited.RemoveIn(&e.scr.words, top.Lhs),
 				})
 				continue
@@ -246,7 +231,7 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 			for _, rt := range e.targets.For(top.Lhs) {
 				work = append(work, config{
 					alt:     cfg.alt,
-					stack:   e.push(machine.SuffixFrame{Lhs: rt.Lhs, Rest: rt.Rest}, nil),
+					stack:   e.push(machine.SuffixFrame{Lhs: rt.Lhs, Rest: rt.Rest}, e.pos.of(rt.Lhs, rt.Prod, rt.Dot+1), nil),
 					visited: v,
 				})
 			}
@@ -257,7 +242,7 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 		}
 		head := top.Rest[0]
 		if head.IsT() {
-			stable = addStable(stable, stableSeen, cfg)
+			stable = append(stable, cfg)
 			continue
 		}
 		// Push: expand the nonterminal into each right-hand side.
@@ -276,26 +261,17 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 			continue
 		}
 		caller := machine.SuffixFrame{Lhs: top.Lhs, Rest: top.Rest[1:]}
-		below := e.push(caller, cfg.stack.Below)
+		below := e.push(caller, advance(top, cfg.stack.pos), e.below(cfg.stack))
 		v := cfg.visited.AddIn(&e.scr.words, x)
 		for _, pi := range prods {
 			work = append(work, config{
 				alt:     cfg.alt,
-				stack:   e.push(machine.SuffixFrame{Lhs: x, Rest: e.c.Rhs(pi)}, below),
+				stack:   e.push(machine.SuffixFrame{Lhs: x, Rest: e.c.Rhs(pi)}, e.pos.of(x, pi, 0), below),
 				visited: v,
 			})
 		}
 	}
 	return res
-}
-
-func addStable(stable []config, stableSeen map[dedupKey]bool, cfg config) []config {
-	key := keyOf(cfg)
-	if stableSeen[key] {
-		return stable
-	}
-	stableSeen[key] = true
-	return append(stable, cfg)
 }
 
 // move advances every stable config across terminal t: configs whose top
@@ -309,13 +285,13 @@ func (e *engine) move(cfgs []config, t grammar.TermID) []config {
 		if cfg.stack == nil {
 			continue // claimed the parse ends here, but input continues
 		}
-		top := cfg.stack.F
+		top := cfg.stack.f
 		if len(top.Rest) == 0 || !top.Rest[0].IsT() || top.Rest[0].Term() != t {
 			continue
 		}
 		out = append(out, config{
 			alt:   cfg.alt,
-			stack: e.push(machine.SuffixFrame{Lhs: top.Lhs, Rest: top.Rest[1:]}, cfg.stack.Below),
+			stack: e.push(machine.SuffixFrame{Lhs: top.Lhs, Rest: top.Rest[1:]}, advance(top, cfg.stack.pos), e.below(cfg.stack)),
 		})
 	}
 	e.scr.moved = out[:0]
@@ -336,19 +312,21 @@ const (
 	fpVisit  = 3
 )
 
-// appendFingerprint serializes the config as packed int32 bytes for dedup
-// (withVisited=true, used during closure) or for canonical state identity
-// (withVisited=false; the visited set is irrelevant once stable, because
-// the next move clears it). Unlike the pre-compilation fingerprint, no
-// symbol name is rendered: identity is a flat byte-compare over IDs, which
-// is what makes DFA-state interning cheap enough for the warm path.
+// appendFingerprint serializes the config's content as packed int32 bytes:
+// per frame its nonterminal, position, and remaining symbols, optionally
+// followed by the visited set (withVisited=false for state content; the
+// visited set is irrelevant once stable, because the next move clears it).
+// Content fingerprints do not decide state identity — node ids do (see
+// cacheGen.intern) — they give Export an order that is the same in every
+// process and independent of interning order.
 func (c config) appendFingerprint(b []byte, withVisited bool) []byte {
 	b = appendInt32(b, int32(c.alt))
-	for s := c.stack; s != nil; s = s.Below {
+	for s := c.stack; s != nil; s = s.below {
 		b = append(b, fpFrame)
-		b = appendInt32(b, int32(s.F.Lhs))
-		b = appendInt32(b, int32(len(s.F.Rest)))
-		for _, sym := range s.F.Rest {
+		b = appendInt32(b, int32(s.f.Lhs))
+		b = appendInt32(b, s.pos)
+		b = appendInt32(b, int32(len(s.f.Rest)))
+		for _, sym := range s.f.Rest {
 			b = appendInt32(b, int32(sym))
 		}
 	}
@@ -369,24 +347,21 @@ func (c config) fingerprint(withVisited bool) string {
 	return string(c.appendFingerprint(nil, withVisited))
 }
 
-// canonicalKey orders cfgs canonically in place (by alt, then content
-// fingerprint) and returns the packed state key: one anomaly byte followed
-// by the length-prefixed config fingerprints in sorted order. Fingerprints
-// are built once each into a single shared buffer and compared as byte
-// slices — they dominate DFA-state interning cost, so neither a
-// per-config string nor a comparator-time recomputation is affordable.
+// canonicalKey orders cfgs in place by content (by alt, then content
+// fingerprint) and returns the state's content key: one anomaly byte
+// followed by the length-prefixed config fingerprints in sorted order.
+// Export sorts states by it. Fingerprints are built once each into a
+// single shared buffer and compared as byte slices, never as per-config
+// strings.
 func canonicalKey(anomalous bool, cfgs []config) string {
-	// Build the key layout in one pass: fingerprints are emitted directly
-	// behind their length prefixes into an exactly presized buffer (per
-	// config: 4-byte prefix + 4-byte alt + 1 terminator; per frame: 9-byte
-	// header + 4 bytes per remaining symbol). Append-doubling and a
-	// rebuild-after-sort copy over a multi-megabyte buffer otherwise
-	// dominate snapshot import, where configs arrive already canonical.
+	// Presize exactly (per config: 4-byte prefix + 4-byte alt + 1
+	// terminator; per frame: 13-byte header + 4 bytes per remaining
+	// symbol): the key of a large state runs to megabytes.
 	size := 1
 	for i := range cfgs {
 		size += 9
-		for s := cfgs[i].stack; s != nil; s = s.Below {
-			size += 9 + 4*len(s.F.Rest)
+		for s := cfgs[i].stack; s != nil; s = s.below {
+			size += 13 + 4*len(s.f.Rest)
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -442,7 +417,7 @@ func canonicalKey(anomalous bool, cfgs []config) string {
 
 // altSummary returns the distinct alts over stable configs (halted and
 // live), ascending. The returned slices alias engine scratch and are valid
-// until the next altSummary call; Cache.intern copies what it retains. The
+// until the next altSummary call; cacheGen.intern copies what it retains. The
 // dedup is a linear scan — a decision has at most a handful of alternatives,
 // where a map costs more than it saves.
 func (e *engine) altSummary(cfgs []config) (alts []int, haltedAlts []int) {

@@ -199,10 +199,12 @@ func TestFaultStalledBody(t *testing.T) {
 	if resp.StatusCode == http.StatusUnprocessableEntity || strings.Contains(string(raw), `"kind":"Reject"`) {
 		t.Fatalf("stalled body became a Reject: %d %s", resp.StatusCode, raw)
 	}
-	// Budget expiry mid-read surfaces as 504 (deadline) or 400 (the read
-	// deadline cut the stream) — both typed, both honest.
-	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("stalled body got %d, want 504 or 400: %s", resp.StatusCode, raw)
+	// Budget expiry mid-read is a deadline: the read the expiry cut short
+	// is its symptom, not a bad request. Deterministic — the stalled read
+	// can only fail after the budget fired — so a parse boundary that
+	// classified the read error instead answers 400 every time.
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("stalled body got %d, want 504: %s", resp.StatusCode, raw)
 	}
 	cancel()
 	<-writeDone

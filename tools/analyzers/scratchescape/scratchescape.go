@@ -4,9 +4,10 @@
 // never flow into anything that outlives the parse: a Result (other than
 // the documented machine.Result.Final exception), or the shared SLL DFA
 // cache's retained structures (dfaState fields, the retained parameters
-// of newDFAState) without first passing a recognized deep copy
-// (copyConfigs, copyStack, NTSet.Clone, or an element-copying append of
-// a value-typed slice).
+// of newDFAState) without first passing a recognized translation or deep
+// copy (nodeTable.canon, which maps a scratch stack to the generation's
+// node table; NTSet.Clone; or an element-copying append of a value-typed
+// slice).
 //
 // The analysis is analyzerkit's intra-procedural taint walker: scratch
 // taint enters at a declarative list of field reads (the arena fields of
@@ -49,15 +50,14 @@ var sourceFields = map[string]map[string]map[string]bool{
 	},
 }
 
-// sanitizers are the recognized deep-copy functions: calls whose result
-// is cache-owned no matter what went in. Bare names are package
+// sanitizers are the recognized translations and deep copies: calls whose
+// result is cache-owned no matter what went in. Bare names are package
 // functions, Type.Method names are methods.
 var sanitizers = map[string]bool{
-	"copyConfigs":  true,
-	"copyStack":    true,
-	"NTSet.Clone":  true,
-	"Tree.Clone":   true,
-	"Mem.Trees":    true, // the Result-scoped tree arena accessor
+	"nodeTable.canon":           true, // a scratch stack's node in the generation's table
+	"NTSet.Clone":               true,
+	"Tree.Clone":                true,
+	"Mem.Trees":                 true, // the Result-scoped tree arena accessor
 	"PrefixFrame.ForestInOrder": true,
 	"Mem.forestInOrderIn":       true, // allocates from the tree arena
 }
@@ -68,7 +68,7 @@ var sanitizers = map[string]bool{
 // path: newDFAState stores cfgs and haltedAlts into the dfaState it
 // returns, but only reads alts.
 var retainedParams = map[string][]int{
-	"newDFAState": {1, 3}, // (key, cfgs, alts, haltedAlts, anomalous)
+	"newDFAState": {0, 2}, // (cfgs, alts, haltedAlts, anomalous)
 }
 
 // retainedTypes are the structs whose fields are retention boundaries:
@@ -94,7 +94,7 @@ var resultTypes = map[string]map[string]map[string]bool{
 // grammar.Token, Usage values — cannot.
 var taintCapable = map[string]map[string]bool{
 	"machine":    {"State": true, "PrefixStack": true, "SuffixStack": true, "PrefixFrame": true, "SuffixFrame": true, "NTSet": true, "Mem": true, "Result": true},
-	"prediction": {"config": true, "scratch": true, "engine": true},
+	"prediction": {"config": true, "node": true, "scratch": true, "engine": true},
 	"arena":      {"Arena": true, "Slab": true},
 }
 
@@ -104,7 +104,7 @@ var Analyzer = &analyzerkit.Analyzer{
 	Doc: "flag pooled scratch escaping into Results or the shared DFA cache\n\n" +
 		"Per-parse scratch (machine.Mem arenas, prediction decision scratch) dies at\n" +
 		"Reset; anything that outlives the parse — Result fields, interned dfaStates —\n" +
-		"must hold deep copies (copyConfigs/copyStack/Clone). An escape is a\n" +
+		"must hold table nodes and deep copies (nodeTable.canon/Clone). An escape is a\n" +
 		"use-after-reset when the pooled Mem serves its next parse.",
 	Run:       run,
 	NeedTypes: true,
@@ -215,7 +215,7 @@ func checkFunc(pass *analyzerkit.Pass, flow *analyzerkit.Flow, fd *ast.FuncDecl)
 				}
 				if retainedTypes[pkg][typ] {
 					pass.Reportf(n.Pos(),
-						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; deep-copy first (copyConfigs/copyStack/Clone)",
+						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; translate or deep-copy first (nodeTable.canon/Clone)",
 						pkg, typ, field)
 					continue
 				}
@@ -299,7 +299,7 @@ func checkRetainingCall(pass *analyzerkit.Pass, flow *analyzerkit.Flow, call *as
 		}
 		if flow.Tainted(call.Args[idx]) {
 			pass.Reportf(call.Args[idx].Pos(),
-				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: deep-copy first (copyConfigs/copyStack/Clone)",
+				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: translate or deep-copy first (nodeTable.canon/Clone)",
 				fn.Name(), idx)
 		}
 	}
