@@ -17,8 +17,12 @@
 //
 // Since the verified engine moved onto the compiled grammar, both engines
 // read the same grammar.Compiled tables and the same analysis.Targets
-// return-target analysis; what remains distinctive here is the GSS, the
-// mutable state, and early conflict detection.
+// return-target analysis. Its SLL cache now hash-conses stacks too, so
+// what remains distinctive here is the GSS as the only stack
+// representation, the mutable state (closure dedup reuses one set across
+// calls), and early conflict detection. Whatever the verified engine
+// gains, this engine must match: a verified engine faster than the
+// baseline measures a baseline defect, not the cost of verification.
 //
 // Results are bit-compatible with the verified engine on unambiguous
 // inputs (the differential tests check tree equality), which is what makes
