@@ -11,6 +11,7 @@ package costar
 // Figure 8 is a static table (BenchmarkFig8Corpus times corpus+lexing).
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -365,10 +366,10 @@ func BenchmarkParallelWarmCache(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("shared/j%d", workers), func(b *testing.B) {
 			p := parser.MustNew(l.Grammar, parser.Options{})
-			checkAll(b, p.ParseAll(words, workers)) // warm the shared DFA
+			checkAll(b, p.ParseAll(context.Background(), len(words), tokenInputs(words), workers)) // warm the shared DFA
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				checkAll(b, p.ParseAll(words, workers))
+				checkAll(b, p.ParseAll(context.Background(), len(words), tokenInputs(words), workers))
 			}
 			reportCorpusThroughput(b, tokens)
 		})

@@ -182,8 +182,9 @@ func run(langName, g4Path, bnfPath, artPath, tokens string, opts cliOptions, arg
 		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
 		defer cancel()
 	}
-	results := p.ParseSourceAllContext(ctx, len(inputs), func(i int) (*costar.TokenSource, func(), error) {
-		return inputs[i].open()
+	results := p.ParseAll(ctx, len(inputs), func(i int) (costar.Input, func(), error) {
+		src, cleanup, err := inputs[i].open()
+		return costar.Stream(src), cleanup, err
 	}, opts.workers)
 	var firstErr error
 	worst := exitOK

@@ -1,6 +1,7 @@
 package costar
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -116,7 +117,7 @@ func TestFacadeConcurrentSmoke(t *testing.T) {
 	}
 	wg.Wait()
 
-	results := ParseAll(g, "S", words, 4)
+	results := p.ParseAll(context.Background(), len(words), tokenInputs(words), 4)
 	for i, res := range results[:3] {
 		if res.Kind != Unique {
 			t.Errorf("batch word %d: %s", i, res)
@@ -144,4 +145,9 @@ func TestFacadeBuilders(t *testing.T) {
 	if !strings.Contains(g.String(), "S -> a B") {
 		t.Errorf("grammar = %s", g)
 	}
+}
+
+// tokenInputs is a ParseAll opener over in-memory token words.
+func tokenInputs(words [][]Token) func(i int) (Input, func(), error) {
+	return func(i int) (Input, func(), error) { return Tokens(words[i]), nil, nil }
 }

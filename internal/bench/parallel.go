@@ -10,6 +10,7 @@ package bench
 // for concurrent use.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -71,9 +72,14 @@ func ParallelScaling(cfg Config, workerCounts []int, langNames ...string) (*Para
 		var base float64
 		for _, workers := range workerCounts {
 			shared := parser.MustNew(l.Grammar, parser.Options{})
-			checkBatch(l, files, shared.ParseAll(words, workers)) // warm
+			batch := func() []parser.Result {
+				return shared.ParseAll(context.Background(), len(words), func(i int) (parser.Input, func(), error) {
+					return parser.Tokens(words[i]), nil, nil
+				}, workers)
+			}
+			checkBatch(l, files, batch()) // warm
 			sharedT, _ := timeIt(cfg.Trials, func() {
-				checkBatch(l, files, shared.ParseAll(words, workers))
+				checkBatch(l, files, batch())
 			})
 
 			sessions := warmSessions(l, words, workers)

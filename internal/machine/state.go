@@ -54,7 +54,7 @@ type State struct {
 // The word is wrapped in a slice-backed cursor, interning its terminals once
 // here; every later consume is an integer compare. Init panics if start was
 // never interned (i.e. it is neither defined nor referenced in g);
-// Parser.ParseFrom screens that out with HasNT before reaching the machine.
+// The parser session screens that out with HasNT before reaching the machine.
 func Init(g *grammar.Grammar, start string, w []grammar.Token) *State {
 	return InitSource(g, start, source.FromTokens(g.Compiled(), w))
 }
@@ -132,7 +132,7 @@ const (
 // Error is a machine or prediction error value.
 type Error struct {
 	Kind      ErrKind
-	NT        string    // offending nonterminal for ErrLeftRecursive
+	NT        string // offending nonterminal for ErrLeftRecursive
 	Msg       string
 	Limit     LimitKind // exhausted limit for ErrLimit
 	Cause     error     // underlying cause (source/context errors); Unwrap exposes it

@@ -67,11 +67,11 @@ func TestCertifiedParsesDeepEqual(t *testing.T) {
 		if _, _, err := grammarlint.Certify(g); err != nil {
 			t.Fatalf("Certify on certifiable grammar: %v\n%s", err, g)
 		}
-		cert := MustNew(g, Options{CheckInvariants: true, MaxSteps: 200000})
+		cert := MustNew(g, Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}})
 		if !cert.Certified() {
 			t.Fatalf("session not certified\n%s", g)
 		}
-		plain := MustNew(g, Options{CheckInvariants: true, MaxSteps: 200000, IgnoreCertificate: true})
+		plain := MustNew(g, Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}, IgnoreCertificate: true})
 		for _, w := range genWords(rng, g, 8) {
 			checked++
 			rc := cert.Parse(w)

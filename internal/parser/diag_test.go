@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"costar/internal/lexer"
 	"costar/internal/machine"
 	"costar/internal/rx"
+	"costar/internal/source"
 )
 
 // Every failure shape must surface through the unified diagnostics layer:
@@ -48,7 +51,7 @@ func TestLexerErrorDiagnostic(t *testing.T) {
 		{Name: "a", Pattern: rx.Str("a")},
 		lexer.Skip("ws", `[ \n]+`),
 	}})
-	res := ParseReader(g, "S", lex, strings.NewReader("a\n!"))
+	res := MustNew(g, Options{}).ParseContext(context.Background(), Reader(lex, strings.NewReader("a\n!")).From("S"))
 	if res.Kind != Error {
 		t.Fatalf("result = %s", res)
 	}
@@ -72,6 +75,45 @@ func TestLimitErrorDiagnostic(t *testing.T) {
 	}
 	if len(res.Diags) != 1 || res.Diags[0].Code != diag.CodeLimit {
 		t.Fatalf("Diags = %v, want one limit diagnostic", res.Diags)
+	}
+}
+
+// TestErrorResultsCarryDiagnostic: Error results built outside the machine
+// run — before it starts, around a batch item, or from a contained panic —
+// carry their diagnostic like every other Error.
+func TestErrorResultsCarryDiagnostic(t *testing.T) {
+	g := fig2()
+	p := MustNew(g, Options{})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	one := func(ctx context.Context, open func(int) (Input, func(), error)) Result {
+		return p.ParseAll(ctx, 1, open, 1)[0]
+	}
+	in := Tokens(word("a", "b", "d"))
+	bad := grammar.New("S", []grammar.Production{{Lhs: "S", Rhs: []grammar.Symbol{grammar.NT("Undefined")}}})
+	for _, c := range []struct {
+		name string
+		res  Result
+		want diag.Code
+	}{
+		{"unknown-start", p.ParseContext(context.Background(), in.From("Ghost")), diag.CodeInternal},
+		{"invalid-grammar", Parse(bad, "S", nil), diag.CodeInternal},
+		{"drained-on-cancel", one(canceled, func(int) (Input, func(), error) { return in, nil, nil }), diag.CodeCanceled},
+		{"open-failure", one(context.Background(), func(int) (Input, func(), error) {
+			return Input{}, nil, errors.New("no such file")
+		}), diag.CodeInternal},
+		{"open-panic", one(context.Background(), func(int) (Input, func(), error) { panic("hostile open") }), diag.CodeInternal},
+		{"parse-panic", p.ParseSource(source.FromPull(g.Compiled(), func() (grammar.Token, bool, error) {
+			panic("hostile source")
+		})), diag.CodeInternal},
+	} {
+		if c.res.Kind != Error {
+			t.Errorf("%s: result = %s, want Error", c.name, c.res)
+			continue
+		}
+		if len(c.res.Diags) != 1 || c.res.Diags[0].Code != c.want {
+			t.Errorf("%s: Diags = %v, want one %s diagnostic", c.name, c.res.Diags, c.want)
+		}
 	}
 }
 

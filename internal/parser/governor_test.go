@@ -105,23 +105,11 @@ func TestUsageReportedOnSuccess(t *testing.T) {
 	}
 }
 
-func TestMaxStepsShorthandFoldsWithLimits(t *testing.T) {
-	// Both knobs set: the smaller wins.
-	p := MustNew(fig2(), Options{MaxSteps: 1000, Limits: Limits{MaxSteps: 3}})
-	if me := limitErr(t, p.Parse(longWord(20))); me.Limit != machine.LimitSteps {
-		t.Fatalf("want LimitSteps, got %v", me)
-	}
-	p = MustNew(fig2(), Options{MaxSteps: 3, Limits: Limits{MaxSteps: 1000}})
-	if me := limitErr(t, p.Parse(longWord(20))); me.Limit != machine.LimitSteps {
-		t.Fatalf("want LimitSteps, got %v", me)
-	}
-}
-
 func TestParseContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := MustNew(fig2(), Options{})
-	res := p.ParseContext(ctx, longWord(5000))
+	res := p.ParseContext(ctx, Tokens(longWord(5000)))
 	if !res.Canceled() {
 		t.Fatalf("want a canceled result, got %s", res)
 	}
@@ -138,7 +126,7 @@ func TestParseContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	p := MustNew(fig2(), Options{})
-	res := p.ParseContext(ctx, longWord(5000))
+	res := p.ParseContext(ctx, Tokens(longWord(5000)))
 	if !res.Canceled() {
 		t.Fatalf("want a canceled result, got %s", res)
 	}
@@ -169,7 +157,7 @@ func TestSourceFailureAfterDeadline(t *testing.T) {
 		<-ctx.Done()
 		return grammar.Token{}, false, os.ErrDeadlineExceeded
 	}
-	res := MustNew(g, Options{}).ParseSourceContext(ctx, source.FromPull(g.Compiled(), pull))
+	res := MustNew(g, Options{}).ParseContext(ctx, Stream(source.FromPull(g.Compiled(), pull)))
 	if me := limitErr(t, res); me.Kind != machine.ErrDeadline {
 		t.Fatalf("want ErrDeadline, got kind=%d (%v)", me.Kind, me)
 	}
@@ -182,7 +170,7 @@ func TestContextIgnoredWhileHealthy(t *testing.T) {
 	// A live context must not perturb results: same tree as the plain path.
 	p := MustNew(fig2(), Options{})
 	plain := p.Parse(longWord(50))
-	ctxed := p.ParseContext(context.Background(), longWord(50))
+	ctxed := p.ParseContext(context.Background(), Tokens(longWord(50)))
 	if plain.Kind != Unique || ctxed.Kind != Unique {
 		t.Fatalf("plain=%s ctx=%s", plain, ctxed)
 	}
@@ -265,7 +253,7 @@ func TestCancellationNeverFalseReject(t *testing.T) {
 			n++
 			return tok, true, nil
 		})
-		res := p.ParseSourceContext(ctx, src)
+		res := p.ParseContext(ctx, Stream(src))
 		switch {
 		case res.Kind == Unique:
 		case res.Canceled():

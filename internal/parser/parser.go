@@ -116,10 +116,6 @@ type Options struct {
 	// matching the paper's benchmark configuration (each trial starts
 	// cold). Off by default: the session reuses its cache.
 	FreshCachePerParse bool
-	// MaxSteps bounds machine transitions per parse (0 = unlimited); a
-	// defensive backstop only. Shorthand for Limits.MaxSteps; when both are
-	// set the smaller wins.
-	MaxSteps int
 	// Limits bounds every parse's resource consumption — steps, tokens,
 	// stack depth, prediction closure work, tree nodes. Exhaustion surfaces
 	// as a structured Error result naming the limit, with the measured
@@ -150,8 +146,14 @@ type Options struct {
 
 // Parser is a reusable parsing session for one grammar.
 //
+// A session has four parse entries: Parse(w), the paper's shape;
+// ParseSource(src) for a token cursor; ParseContext(ctx, in), the general
+// entry taking any Input (tokens, cursor or reader, with an optional start
+// symbol); and ParseAll, the batch entry. Recovery and resource limits are
+// session settings (Options); the start symbol is per call (Input.From).
+//
 // A Parser is safe for concurrent use: any number of goroutines may call
-// Parse/ParseFrom (and the read-only accessors) on one session at the same
+// its parse entries (and the read-only accessors) on one session at the same
 // time, all sharing — and jointly warming — the single SLL DFA cache. The
 // grammar and its static analyses are immutable after New; per-start-symbol
 // targets intern through a sync.Map; session statistics accumulate under a
@@ -284,93 +286,84 @@ func (p *Parser) CacheSize() (starts, states int) { return p.cache.Size() }
 // of the Figure 11 experiment).
 func (p *Parser) ResetCache() { p.cache.Reset() }
 
+// Input is what one parse reads and where it starts: build it with Tokens,
+// Stream or Reader, and pick a start symbol other than the grammar's with
+// From. An Input is a small value; building one allocates nothing.
+type Input struct {
+	kind  inputKind
+	start string // "" means the grammar's start symbol
+	toks  []grammar.Token
+	src   *source.Cursor
+	lex   *lexer.Lexer
+	r     io.Reader
+}
+
+type inputKind uint8
+
+const (
+	tokensInput inputKind = iota
+	streamInput
+	readerInput
+)
+
+// Tokens is an in-memory token word. Reject reasons name its length ("after
+// i of n tokens").
+func Tokens(w []grammar.Token) Input { return Input{kind: tokensInput, toks: w} }
+
+// Stream is a token cursor the parse pulls from on demand, retaining only
+// the sliding lookahead window, so memory stays bounded regardless of input
+// length. The cursor is single-use: the parse consumes it, and on a Reject
+// or Error result it is left at the failure position for diagnostics.
+func Stream(src *source.Cursor) Input { return Input{kind: streamInput, src: src} }
+
+// Reader lexes r incrementally with lex, in bounded memory end to end.
+// Lexing failures (including reader errors) surface as Error results with
+// a machine.ErrSource cause, never as false accepts.
+func Reader(lex *lexer.Lexer, r io.Reader) Input {
+	return Input{kind: readerInput, lex: lex, r: r}
+}
+
+// From returns the input parsed from nonterminal start instead of the
+// grammar's start symbol.
+func (in Input) From(start string) Input {
+	in.start = start
+	return in
+}
+
 // Parse parses w starting from the grammar's start symbol.
 func (p *Parser) Parse(w []grammar.Token) Result {
-	return p.ParseFrom(p.g.Start, w)
+	return p.ParseContext(context.Background(), Tokens(w))
 }
 
-// ParseContext is Parse under a context: cancellation or deadline expiry
-// halts the machine loop and the prediction closures within a bounded
-// amount of work and surfaces as a structured Error result (ErrCanceled /
-// ErrDeadline) — never a false Reject.
-func (p *Parser) ParseContext(ctx context.Context, w []grammar.Token) Result {
-	return p.ParseFromContext(ctx, p.g.Start, w)
-}
-
-// ParseFrom parses w starting from nonterminal start. It is reentrant:
-// concurrent calls on one session share the SLL DFA cache safely.
-func (p *Parser) ParseFrom(start string, w []grammar.Token) Result {
-	return p.ParseFromContext(context.Background(), start, w)
-}
-
-// ParseFromContext is ParseFrom under a context.
-func (p *Parser) ParseFromContext(ctx context.Context, start string, w []grammar.Token) Result {
-	sc := p.getScratch()
-	sc.cur.ResetTokens(p.g.Compiled(), w)
-	return p.parse(ctx, start, sc, &sc.cur, len(w))
-}
-
-// ParseSource parses the tokens of src from the grammar's start symbol. The
-// cursor is consumed by the parse (it is a single-use value); on a Reject or
-// Error result it is left at the failure position for diagnostics.
+// ParseSource parses the tokens of src from the grammar's start symbol; it
+// is ParseContext on Stream(src) without a context.
 func (p *Parser) ParseSource(src *source.Cursor) Result {
-	return p.ParseSourceFrom(p.g.Start, src)
+	return p.ParseContext(context.Background(), Stream(src))
 }
 
-// ParseSourceContext is ParseSource under a context.
-func (p *Parser) ParseSourceContext(ctx context.Context, src *source.Cursor) Result {
-	return p.ParseSourceFromContext(ctx, p.g.Start, src)
-}
-
-// ParseSourceFrom is ParseSource starting from nonterminal start. This is
-// the streaming core every other entry point reduces to: tokens are pulled
-// from the cursor on demand and only the sliding lookahead window is
-// retained, so memory stays bounded regardless of input length.
-func (p *Parser) ParseSourceFrom(start string, src *source.Cursor) Result {
-	return p.ParseSourceFromContext(context.Background(), start, src)
-}
-
-// ParseSourceFromContext is ParseSourceFrom under a context.
-func (p *Parser) ParseSourceFromContext(ctx context.Context, start string, src *source.Cursor) Result {
-	return p.parse(ctx, start, p.getScratch(), src, -1)
-}
-
-// ParseReader lexes r incrementally with lex and parses the token stream
-// from the grammar's start symbol, in bounded memory end to end.
-func (p *Parser) ParseReader(lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFrom(p.g.Start, lex, r)
-}
-
-// ParseReaderContext is ParseReader under a context. Cancellation is
-// observed between machine steps and prediction closure expansions; a Read
-// already blocked in the underlying reader cannot be interrupted (wrap the
-// reader itself for that), but no further reads are issued once the context
-// ends.
-func (p *Parser) ParseReaderContext(ctx context.Context, lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFromContext(ctx, p.g.Start, lex, r)
-}
-
-// ParseReaderFrom is ParseReader starting from nonterminal start. Lexing
-// failures (including reader errors) surface as Error results with a
-// machine.ErrSource cause, never as false accepts.
-func (p *Parser) ParseReaderFrom(start string, lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFromContext(context.Background(), start, lex, r)
-}
-
-// ParseReaderFromContext is ParseReaderFrom under a context.
-func (p *Parser) ParseReaderFromContext(ctx context.Context, start string, lex *lexer.Lexer, r io.Reader) Result {
-	sc := p.getScratch()
-	sc.cur.ResetPull(p.g.Compiled(), lex.Pull(r))
-	return p.parse(ctx, start, sc, &sc.cur, -1)
-}
-
-// limits folds the MaxSteps shorthand into the session's Limits.
-func (p *Parser) limits() Limits {
-	l := p.opts.Limits
-	if p.opts.MaxSteps > 0 && (l.MaxSteps == 0 || p.opts.MaxSteps < l.MaxSteps) {
-		l.MaxSteps = p.opts.MaxSteps
+// ParseContext parses in under ctx; it is the general entry every other one
+// reduces to, and it is reentrant: concurrent calls on one session share the
+// SLL DFA cache safely. Cancellation or deadline expiry halts the machine
+// loop and the prediction closures within a bounded amount of work and
+// surfaces as a structured Error result (ErrCanceled / ErrDeadline) — never
+// a false Reject. A Read already blocked in a Reader input cannot be
+// interrupted (wrap the reader itself for that), but no further reads are
+// issued once the context ends.
+func (p *Parser) ParseContext(ctx context.Context, in Input) Result {
+	start := in.start
+	if start == "" {
+		start = p.g.Start
 	}
-	return l
+	sc := p.getScratch()
+	switch in.kind {
+	case streamInput:
+		return p.parse(ctx, start, sc, in.src, -1)
+	case readerInput:
+		sc.cur.ResetPull(p.g.Compiled(), in.lex.Pull(in.r))
+		return p.parse(ctx, start, sc, &sc.cur, -1)
+	}
+	sc.cur.ResetTokens(p.g.Compiled(), in.toks)
+	return p.parse(ctx, start, sc, &sc.cur, len(in.toks))
 }
 
 // parse is the shared core: run the machine over a token cursor. total is
@@ -389,13 +382,13 @@ func (p *Parser) limits() Limits {
 func (p *Parser) parse(ctx context.Context, start string, sc *parseScratch, src *source.Cursor, total int) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{Kind: Error, Err: machine.PanicErr(r, debug.Stack())}
+			res = errResult(machine.PanicErr(r, debug.Stack()))
 			return // abandon sc: don't poison the pool
 		}
 		p.release(sc)
 	}()
 	if !p.g.HasNT(start) {
-		return Result{Kind: Error, Err: fmt.Errorf("parser: start symbol %q has no productions", start)}
+		return errResult(fmt.Errorf("parser: start symbol %q has no productions", start))
 	}
 	var tg *analysis.Targets
 	if v, ok := p.targets.Load(start); ok {
@@ -415,10 +408,10 @@ func (p *Parser) parse(ctx context.Context, start string, sc *parseScratch, src 
 	// from the pooled scratch: built once, Reset per parse.
 	gov := sc.gov
 	if gov == nil {
-		gov = machine.NewGovernor(ctx, p.limits())
+		gov = machine.NewGovernor(ctx, p.opts.Limits)
 		sc.gov = gov
 	} else {
-		gov.Reset(ctx, p.limits())
+		gov.Reset(ctx, p.opts.Limits)
 	}
 	popts := prediction.Options{
 		DisableSLL:    p.opts.DisableSLL,
@@ -525,67 +518,29 @@ func (p *Parser) Accepts(w []grammar.Token) bool {
 	}
 }
 
-// ParseAll parses every word from the grammar's start symbol on a pool of
-// workers goroutines and returns the results in input order. All workers
-// share the session's SLL DFA, so each word's predictions benefit from
-// states any other word already forced — the cross-input cache monotonicity
-// of the Figure 11 warm-cache experiment, spent on multi-core throughput.
-// workers <= 0 means runtime.GOMAXPROCS(0).
-func (p *Parser) ParseAll(words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFrom(p.g.Start, words, workers)
-}
-
-// ParseAllContext is ParseAll under a context. Cancellation stops the batch
-// promptly: in-flight parses abort through their governors, not-yet-started
-// items are drained with Canceled results (every slot of the returned slice
-// is filled — completed items keep their real results), and all workers have
-// exited by the time it returns, so a canceled batch leaks no goroutines.
-// Items are isolated: one item's panic or resource blowup becomes that
-// item's Error result and the rest of the batch proceeds.
-func (p *Parser) ParseAllContext(ctx context.Context, words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFromContext(ctx, p.g.Start, words, workers)
-}
-
-// ParseAllFrom is ParseAll starting from nonterminal start.
-func (p *Parser) ParseAllFrom(start string, words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFromContext(context.Background(), start, words, workers)
-}
-
-// ParseAllFromContext is ParseAllFrom under a context.
-func (p *Parser) ParseAllFromContext(ctx context.Context, start string, words [][]grammar.Token, workers int) []Result {
-	return p.batch(ctx, len(words), workers, func(i int) Result {
-		return p.ParseFromContext(ctx, start, words[i])
-	})
-}
-
-// batch runs one() for indices 0..n-1 on a pool of workers goroutines and
-// returns the results in input order. Once ctx ends, remaining items are
-// drained without parsing — each gets a structured Canceled result — so the
-// call returns promptly with every slot filled and no goroutine left behind
-// (workers are joined before batch returns).
-func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Result) []Result {
+// ParseAll parses n inputs on a pool of workers goroutines (workers <= 0
+// means runtime.GOMAXPROCS(0)) and returns the results in input order. All
+// workers share the session's SLL DFA, so each input's predictions benefit
+// from states any other input already forced — the cross-input cache
+// monotonicity of the Figure 11 warm-cache experiment, spent on multi-core
+// throughput.
+//
+// open(i) returns input i plus a cleanup function (nil allowed) invoked
+// after that input's parse — typically closing the underlying file. Each
+// input is opened only when a worker picks it up, so at most workers inputs
+// are resident at once. Items are isolated: an open failure, or a panic in
+// open or in the parse, becomes that item's Error result and the rest of the
+// batch proceeds. Once ctx ends, in-flight parses abort through their
+// governors and the remaining items are drained with Canceled results
+// without being opened; every slot is filled, and all workers have exited
+// by the time ParseAll returns, so a canceled batch leaks no goroutines.
+func (p *Parser) ParseAll(ctx context.Context, n int, open func(i int) (Input, func(), error), workers int) []Result {
 	out := make([]Result, n)
-	if n == 0 {
-		return out
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
-	}
-	work := func(i int) {
-		if err := ctx.Err(); err != nil {
-			out[i] = Result{Kind: Error, Err: machine.CanceledErr(err)}
-			return
-		}
-		out[i] = one(i)
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			work(i)
-		}
-		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -598,7 +553,7 @@ func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Resu
 				if i >= n {
 					return
 				}
-				work(i)
+				out[i] = p.parseItem(ctx, i, open)
 			}
 		}()
 	}
@@ -606,49 +561,26 @@ func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Resu
 	return out
 }
 
-// ParseSourceAll is the streaming counterpart of ParseAll: it parses n
-// inputs, each opened on demand by open, on a pool of workers goroutines
-// sharing the session's SLL DFA. open(i) returns a fresh cursor for input i
-// plus a cleanup function (nil allowed) invoked after that input's parse —
-// typically closing the underlying file. An open failure becomes an Error
-// result for that input; the rest of the batch proceeds. Because each input
-// is opened only when a worker picks it up, at most workers inputs are
-// resident at once.
-func (p *Parser) ParseSourceAll(n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFrom(p.g.Start, n, open, workers)
-}
-
-// ParseSourceAllContext is ParseSourceAll under a context, with the same
-// prompt-drain and isolation guarantees as ParseAllContext; inputs are not
-// even opened once the context ends.
-func (p *Parser) ParseSourceAllContext(ctx context.Context, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFromContext(ctx, p.g.Start, n, open, workers)
-}
-
-// ParseSourceAllFrom is ParseSourceAll starting from nonterminal start.
-func (p *Parser) ParseSourceAllFrom(start string, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFromContext(context.Background(), start, n, open, workers)
-}
-
-// ParseSourceAllFromContext is ParseSourceAllFrom under a context.
-func (p *Parser) ParseSourceAllFromContext(ctx context.Context, start string, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.batch(ctx, n, workers, func(i int) (res Result) {
-		// open runs caller code; contain its panics like the parse's own so
-		// one poisoned input cannot kill a batch worker.
-		defer func() {
-			if r := recover(); r != nil {
-				res = Result{Kind: Error, Err: machine.PanicErr(r, debug.Stack())}
-			}
-		}()
-		src, cleanup, err := open(i)
-		if err != nil {
-			return Result{Kind: Error, Err: fmt.Errorf("parser: opening input %d: %w", i, err)}
+// parseItem opens and parses batch item i, or drains it once ctx has ended.
+// open runs caller code; its panics are contained like the parse's own so
+// one poisoned input cannot kill a batch worker.
+func (p *Parser) parseItem(ctx context.Context, i int, open func(i int) (Input, func(), error)) (res Result) {
+	if err := ctx.Err(); err != nil {
+		return errResult(machine.CanceledErr(err))
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res = errResult(machine.PanicErr(r, debug.Stack()))
 		}
-		if cleanup != nil {
-			defer cleanup()
-		}
-		return p.ParseSourceFromContext(ctx, start, src)
-	})
+	}()
+	in, cleanup, err := open(i)
+	if err != nil {
+		return errResult(fmt.Errorf("parser: opening input %d: %w", i, err))
+	}
+	if cleanup != nil {
+		defer cleanup()
+	}
+	return p.ParseContext(ctx, in)
 }
 
 func (p *Parser) accumulate(s prediction.Stats) {
@@ -666,88 +598,23 @@ func (p *Parser) accumulate(s prediction.Stats) {
 	}
 }
 
-// Parse is the one-shot convenience API: parse w from start in g with
-// default options. It validates the grammar on every call; construct a
-// Parser for repeated use.
+// Parse is the one-shot API of the paper's Section 3.1: parse w from start
+// in g with default options. It validates the grammar on every call;
+// construct a Parser for repeated use, for streamed input, or for a context,
+// limits or recovery.
 func Parse(g *grammar.Grammar, start string, w []grammar.Token) Result {
 	p, err := New(g, Options{})
 	if err != nil {
-		return Result{Kind: Error, Err: err}
+		return errResult(err)
 	}
-	return p.ParseFrom(start, w)
+	return p.ParseContext(context.Background(), Tokens(w).From(start))
 }
 
-// ParseContext is the one-shot Parse under a context and resource limits.
-func ParseContext(ctx context.Context, g *grammar.Grammar, start string, w []grammar.Token, limits Limits) Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseFromContext(ctx, start, w)
-}
-
-// ParseRecover is the one-shot Parse in recovering mode: rejected inputs
-// are repaired by panic-mode recovery and come back as Recovered results
-// with a partial tree and positioned diagnostics.
-func ParseRecover(g *grammar.Grammar, start string, w []grammar.Token) Result {
-	p, err := New(g, Options{Recover: true})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseFrom(start, w)
-}
-
-// ParseReader is the one-shot streaming API: lex r incrementally with lex
-// and parse the token stream from start in g with default options, holding
-// only the sliding lookahead window in memory.
-func ParseReader(g *grammar.Grammar, start string, lex *lexer.Lexer, r io.Reader) Result {
-	p, err := New(g, Options{})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseReaderFrom(start, lex, r)
-}
-
-// ParseReaderContext is the one-shot ParseReader under a context and
-// resource limits.
-func ParseReaderContext(ctx context.Context, g *grammar.Grammar, start string, lex *lexer.Lexer, r io.Reader, limits Limits) Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseReaderFromContext(ctx, start, lex, r)
-}
-
-// ParseAll is the one-shot batch API: parse every word from start in g on
-// workers goroutines (workers <= 0 means GOMAXPROCS), sharing one freshly
-// warmed SLL DFA across the whole batch. Results are in input order. It
-// validates the grammar once up front; a validation error is replicated
-// into every Result.
-func ParseAll(g *grammar.Grammar, start string, words [][]grammar.Token, workers int) []Result {
-	p, err := New(g, Options{})
-	if err != nil {
-		out := make([]Result, len(words))
-		for i := range out {
-			out[i] = Result{Kind: Error, Err: err}
-		}
-		return out
-	}
-	return p.ParseAllFrom(start, words, workers)
-}
-
-// ParseAllContext is the one-shot ParseAll under a context and resource
-// limits, with ParseAllContext's prompt-drain, per-item isolation, and
-// no-leak guarantees.
-func ParseAllContext(ctx context.Context, g *grammar.Grammar, start string, words [][]grammar.Token, workers int, limits Limits) []Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		out := make([]Result, len(words))
-		for i := range out {
-			out[i] = Result{Kind: Error, Err: err}
-		}
-		return out
-	}
-	return p.ParseAllFromContext(ctx, start, words, workers)
+// errResult builds an Error result for a failure outside the machine run —
+// an invalid grammar or start symbol, a failed batch open, a drained batch
+// item, a contained panic — with the diagnostic every Error result carries.
+func errResult(err error) Result {
+	return Result{Kind: Error, Err: err, Diags: []diag.Diagnostic{errDiag(err, 0)}}
 }
 
 // expectedAt computes the terminals that could have continued the parse at

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -92,15 +93,15 @@ func TestNewRejectsMalformedGrammar(t *testing.T) {
 
 func TestParseFrom(t *testing.T) {
 	p := MustNew(fig2(), Options{})
-	res := p.ParseFrom("A", word("a", "a", "b"))
+	res := p.ParseContext(context.Background(), Tokens(word("a", "a", "b")).From("A"))
 	if res.Kind != Unique {
-		t.Fatalf("ParseFrom(A) = %s", res)
+		t.Fatalf("From(A) = %s", res)
 	}
 	if res.Tree.NT != "A" {
 		t.Errorf("root = %s", res.Tree.NT)
 	}
-	if res := p.ParseFrom("Ghost", nil); res.Kind != Error {
-		t.Errorf("ParseFrom(Ghost) = %s", res)
+	if res := p.ParseContext(context.Background(), Tokens(nil).From("Ghost")); res.Kind != Error {
+		t.Errorf("From(Ghost) = %s", res)
 	}
 }
 
@@ -173,7 +174,7 @@ func TestDisableSLLOption(t *testing.T) {
 }
 
 func TestMaxStepsOption(t *testing.T) {
-	p := MustNew(fig2(), Options{MaxSteps: 2})
+	p := MustNew(fig2(), Options{Limits: Limits{MaxSteps: 2}})
 	res := p.Parse(word("a", "b", "d"))
 	if res.Kind != Error {
 		t.Fatalf("MaxSteps ignored: %s", res)

@@ -84,7 +84,7 @@ func TestPooledReuseConcurrent(t *testing.T) {
 		want[i] = ref.Parse(w)
 	}
 	for round := 0; round < 4; round++ {
-		results := p.ParseAll(words, 8)
+		results := parseWords(p, words, 8)
 		for i, res := range results {
 			if res.Kind != Unique {
 				t.Fatalf("round %d word %d: %v (%s)", round, i, res.Kind, res.Reason)
@@ -131,7 +131,7 @@ func TestAbortedParseDoesNotPoisonPool(t *testing.T) {
 		// A canceled parse.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if res := p.ParseContext(ctx, toks); !res.Canceled() {
+		if res := p.ParseContext(ctx, Tokens(toks)); !res.Canceled() {
 			t.Fatalf("cancel %d: got %v, want canceled error", i, res)
 		}
 		// After each abort, a normal parse through the (possibly recycled)
@@ -163,7 +163,7 @@ func TestPooledStreamingReuse(t *testing.T) {
 		if res := p.Parse(toks); res.Kind != Unique || !res.Tree.Equal(want.Tree) {
 			t.Fatalf("slice parse %d diverged", i)
 		}
-		if res := p.ParseReader(jsonlang.Lang.Lexer(), strings.NewReader(src)); res.Kind != machine.Unique || !res.Tree.Equal(want.Tree) {
+		if res := p.ParseContext(context.Background(), Reader(jsonlang.Lang.Lexer(), strings.NewReader(src))); res.Kind != machine.Unique || !res.Tree.Equal(want.Tree) {
 			t.Fatalf("reader parse %d diverged: %v", i, res.Kind)
 		}
 	}

@@ -80,7 +80,7 @@ func (s *Session) Parser() *parser.Parser { return s.p }
 // deadlines, limits, and panics all come back as structured Results — the
 // caller never sees a goroutine die or a verdict invented by failure.
 func (s *Session) Parse(ctx context.Context, r io.Reader) parser.Result {
-	return s.p.ParseSourceContext(ctx, s.cursor(r))
+	return s.p.ParseContext(ctx, parser.Stream(s.cursor(r)))
 }
 
 // Registry is the set of sessions a server exposes, keyed by grammar name.
